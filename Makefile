@@ -2,9 +2,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments scale-smoke race-soak determinism cache-smoke
+.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments scale-smoke race-soak cache-smoke
 
-check: fmt vet lint build race experiments bench-smoke scale-smoke determinism cache-smoke
+check: fmt vet lint build race experiments bench-smoke scale-smoke cache-smoke
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -13,22 +13,14 @@ fmt:
 vet:
 	go vet ./...
 
-# staticcheck is required for `make check` (CI installs it; locally:
-# go install honnef.co/go/tools/cmd/staticcheck@latest). The gate fails
-# fast with a clear message instead of a cryptic 127. Set
-# STATICCHECK=skip to bypass on machines that cannot install it.
-lint:
-ifeq ($(STATICCHECK),skip)
-	@echo "lint: staticcheck skipped (STATICCHECK=skip)"
-else
-	@if ! command -v staticcheck > /dev/null 2>&1; then \
-		echo "lint: staticcheck not found."; \
-		echo "  install: go install honnef.co/go/tools/cmd/staticcheck@latest"; \
-		echo "  or bypass: make check STATICCHECK=skip"; \
-		exit 1; \
+# go vet always runs; staticcheck runs when it is on PATH (CI's lint lane
+# installs it; locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
+lint: vet
+	@if command -v staticcheck > /dev/null 2>&1; then \
+		staticcheck ./...; \
+	else \
+		echo "lint: staticcheck not on PATH; ran go vet only"; \
 	fi
-	staticcheck ./...
-endif
 
 build:
 	go build ./...
@@ -43,7 +35,7 @@ bench:
 	go test -bench . -benchtime 1x ./...
 
 # Full kernel-vs-reference benchmark report (events/sec, ns/event,
-# allocs/event, shard-scaling series, E-suite wall time). Compare runs
+# allocs/event, E-suite wall time). Compare runs
 # across commits with cmd/benchcmp to catch hot-path regressions.
 # BENCH_sim.json is a committed baseline: refuse to overwrite it from a
 # dirty tree (the result would mix measured code with unrecorded edits)
@@ -74,19 +66,6 @@ experiments:
 # and serve a sparse burst under a hard heap budget.
 scale-smoke:
 	go test -run TestScaleSmoke100k -v .
-
-# Shard-count invariance gate: full ecobench tables must be
-# byte-identical with the parallel conservative-sync engine at 1, 2 and
-# 8 shards. CI's determinism lane runs this plus the property sweeps
-# with raised iteration counts.
-determinism:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for k in 1 2 8; do \
-		go run ./cmd/ecobench -quick -parallel 0 -shards $$k > "$$tmp/shards-$$k.txt" || exit 1; \
-	done; \
-	cmp "$$tmp/shards-1.txt" "$$tmp/shards-2.txt" && \
-	cmp "$$tmp/shards-1.txt" "$$tmp/shards-8.txt" && \
-	echo "determinism: ecobench byte-identical at -shards 1/2/8"
 
 # Result-cache smoke: the same quick ecobench run twice against one
 # content-addressed cache directory must be byte-identical — the second

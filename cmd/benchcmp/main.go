@@ -4,19 +4,21 @@
 // bench-regression lane.
 //
 // Wall-clock numbers only mean something on the host that produced
-// them, so time-based fields (ns/event, events/sec, speedups) are
-// compared only when both reports come from an equivalent host — same
-// CPU count and architecture. Allocation counts per event are
-// deterministic properties of the code and are compared always, as are
-// the shard-scaling determinism checksums (when both runs executed the
-// same workload size) and the cache_warm hit/miss sanity check; the
-// cache_warm cold/warm speedup is wall-clock and follows the same
-// host-matching rule.
+// them, so absolute time-based fields (ns/event, the cache_warm cold/warm
+// speedup) are compared only when both reports come from an equivalent
+// host — same CPU count and architecture. Allocation counts per event are
+// deterministic properties of the code and are compared always, as is the
+// cache_warm hit/miss sanity check.
 //
-// -wall=false drops the time-based comparisons even on an equivalent
+// The kernel ratios in speedup_events_per_sec (production kernel over the
+// frozen heapref reference, both measured in one run on one host) are
+// compared always too: the host cancels out of a same-run ratio, so a
+// drop means the production kernel got slower relative to a fixed
+// baseline, wherever it was measured.
+//
+// -wall=false drops the absolute time comparisons even on an equivalent
 // host: CI compares a -quick run against the full committed baseline, and
-// short runs jitter far beyond any honest tolerance band, so its gate is
-// the deterministic fields only.
+// short runs jitter far beyond any honest tolerance band.
 //
 // Usage:
 //
@@ -43,14 +45,6 @@ type kernelEntry struct {
 	BytesPerEvent  float64 `json:"bytes_per_event"`
 }
 
-type shardEntry struct {
-	Shards   int     `json:"shards"`
-	Procs    int     `json:"procs"`
-	Events   uint64  `json:"events"`
-	Speedup  float64 `json:"speedup_vs_1_shard"`
-	Checksum string  `json:"checksum"`
-}
-
 type cacheWarmEntry struct {
 	Procs   int     `json:"procs"`
 	Points  uint64  `json:"points"`
@@ -60,14 +54,13 @@ type cacheWarmEntry struct {
 }
 
 type report struct {
-	Schema       string             `json:"schema"`
-	GoVersion    string             `json:"go_version"`
-	GOARCH       string             `json:"goarch"`
-	CPUs         int                `json:"cpus"`
-	Kernel       []kernelEntry      `json:"kernel"`
-	Speedup      map[string]float64 `json:"speedup_events_per_sec"`
-	ShardScaling []shardEntry       `json:"shard_scaling"`
-	CacheWarm    *cacheWarmEntry    `json:"cache_warm"`
+	Schema    string             `json:"schema"`
+	GoVersion string             `json:"go_version"`
+	GOARCH    string             `json:"goarch"`
+	CPUs      int                `json:"cpus"`
+	Kernel    []kernelEntry      `json:"kernel"`
+	Speedup   map[string]float64 `json:"speedup_events_per_sec"`
+	CacheWarm *cacheWarmEntry    `json:"cache_warm"`
 }
 
 func load(path string) (*report, error) {
@@ -149,55 +142,20 @@ func main() {
 				key, o.NsPerEvent, n.NsPerEvent, *tol*100)
 		}
 	}
-	if wallOK {
-		for w, ov := range oldRep.Speedup {
-			if nv, ok := newRep.Speedup[w]; ok && nv < ov*(1-*tol) {
-				fail("speedup[%s]: %.2fx -> %.2fx", w, ov, nv)
-			}
+	// Same-run kernel ratios are host-independent: gate them always.
+	for w, ov := range oldRep.Speedup {
+		nv, ok := newRep.Speedup[w]
+		if !ok {
+			fail("speedup[%s] missing from new report", w)
+		} else if nv < ov*(1-*tol) {
+			fail("speedup[%s]: %.2fx -> %.2fx", w, ov, nv)
 		}
-	}
-
-	// Shard-scaling determinism: within each report every shard count
-	// must have produced the same checksum; across reports the checksums
-	// must agree whenever the runs were the same size.
-	checkSeries := func(name string, s []shardEntry) {
-		for _, e := range s[1:] {
-			if e.Checksum != s[0].Checksum {
-				fail("%s shard_scaling: checksum diverges at %d shards", name, e.Shards)
-			}
-		}
-	}
-	if len(oldRep.ShardScaling) > 0 {
-		checkSeries("old", oldRep.ShardScaling)
-	}
-	if len(newRep.ShardScaling) > 0 {
-		checkSeries("new", newRep.ShardScaling)
-	}
-	if len(oldRep.ShardScaling) > 0 && len(newRep.ShardScaling) > 0 {
-		o, n := oldRep.ShardScaling[0], newRep.ShardScaling[0]
-		if o.Events == n.Events && o.Checksum != n.Checksum {
-			fail("shard_scaling: same workload, checksum %s -> %s", o.Checksum, n.Checksum)
-		}
-		if wallOK && o.Procs == n.Procs {
-			for i := range oldRep.ShardScaling {
-				if i >= len(newRep.ShardScaling) {
-					break
-				}
-				ov, nv := oldRep.ShardScaling[i], newRep.ShardScaling[i]
-				if ov.Shards == nv.Shards && nv.Speedup < ov.Speedup*(1-*tol) {
-					fail("shard_scaling k=%d: speedup %.2fx -> %.2fx", ov.Shards, ov.Speedup, nv.Speedup)
-				}
-			}
-		}
-	} else if len(oldRep.ShardScaling) > 0 {
-		fail("shard_scaling series missing from new report")
 	}
 
 	// cache_warm: hit/miss behavior is deterministic for a given suite
 	// (every point misses cold, hits warm), so a warm run that still
 	// misses is a correctness regression and is checked on every host.
-	// The cold/warm speedup is wall-clock and follows the same
-	// host-matching rule as shard_scaling: compared only when wallOK and
+	// The cold/warm speedup is wall-clock: compared only when wallOK and
 	// both runs had the same procs.
 	if oldRep.CacheWarm != nil && newRep.CacheWarm != nil {
 		o, n := oldRep.CacheWarm, newRep.CacheWarm

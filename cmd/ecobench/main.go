@@ -1,8 +1,9 @@
 // Command ecobench regenerates every experiment table of the ECOSCALE
-// reproduction (E1–E17 plus ablations A1–A5; see DESIGN.md for the
-// index and EXPERIMENTS.md for paper-claim vs measured). Each
-// experiment's points fan out over a worker pool; output is
-// byte-identical at every -parallel setting.
+// reproduction (E1–E16, ablations A1–A5 and resilience scenarios R1–R4;
+// see DESIGN.md for the index and EXPERIMENTS.md for paper-claim vs
+// measured). Each experiment's points fan out over a worker pool; output
+// is byte-identical at every -parallel setting, and the full default
+// output is pinned by docs/ecobench_output.txt (see golden_test.go).
 //
 // Usage:
 //
@@ -13,8 +14,6 @@
 //	ecobench -parallel 1      # sequential reference run
 //	ecobench -timeout 30s     # per-point timeout
 //	ecobench -progress        # per-point progress + summary on stderr
-//	ecobench -shards 8        # shard the sharding-aware scenarios; output is
-//	                          # byte-identical at every -shards value
 //	ecobench -cpuprofile f    # write a CPU profile of the run to f
 //	ecobench -memprofile f    # write a heap profile (after the run) to f
 //	ecobench -cache           # memoize point results in a content-addressed
@@ -38,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -111,6 +111,36 @@ func selectScenarios(reg []runner.Scenario, spec string) ([]runner.Scenario, err
 	return out, nil
 }
 
+// runTables runs the selected scenarios in order. Text and CSV tables
+// are written to w as each scenario finishes; in JSON mode the tables are
+// collected and returned instead. Failures are reported on stderr and
+// their ids returned.
+func runTables(w io.Writer, sel []runner.Scenario, opts runner.Options, csv, jsonOut bool) (results []jsonResult, failures []string) {
+	for _, s := range sel {
+		if !jsonOut {
+			fmt.Fprintf(w, "### %s — %s (%s)\n", s.ID, s.Title, s.Source)
+		}
+		tbl, err := runner.Run(context.Background(), s, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", s.ID, err)
+			failures = append(failures, s.ID)
+			continue
+		}
+		switch {
+		case jsonOut:
+			results = append(results, jsonResult{
+				ID: s.ID, Title: s.Title, Source: s.Source,
+				Columns: tbl.Columns, Rows: tbl.Rows,
+			})
+		case csv:
+			fmt.Fprint(w, tbl.CSV())
+		default:
+			fmt.Fprintln(w, tbl)
+		}
+	}
+	return results, failures
+}
+
 func main() {
 	// Indirect so deferred profile writers run even when experiments fail;
 	// os.Exit directly in the body would skip them.
@@ -126,7 +156,6 @@ func mainExit() int {
 	timeout := flag.Duration("timeout", 0, "per-point timeout (0 = none)")
 	progress := flag.Bool("progress", false, "report per-point progress and a runner summary on stderr")
 	quick := flag.Bool("quick", false, "trim the R-series resilience sweeps to a smoke run")
-	shards := flag.Int("shards", 0, "intra-machine shard count for sharding-aware scenarios (0 = single engine); tables are byte-identical at every value")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	cache := flag.Bool("cache", false, "memoize point results in the content-addressed cache")
@@ -163,11 +192,6 @@ func mainExit() int {
 	}
 
 	experiments.Quick = *quick
-	if *shards < 0 {
-		log.Print("ecobench: -shards must be >= 0")
-		return 1
-	}
-	experiments.Shards = *shards
 	reg := experiments.Registry()
 	if *list {
 		for _, s := range reg {
@@ -182,6 +206,9 @@ func mainExit() int {
 	}
 
 	metrics := trace.NewRegistry()
+	// The cache counts from the pool's goroutines under its own lock, so
+	// it gets a registry of its own rather than sharing the runner's.
+	cacheMetrics := trace.NewRegistry()
 	opts := runner.Options{Parallel: *parallel, PointTimeout: *timeout, Metrics: metrics}
 	if *cache || *cacheDir != "" || *cacheRO {
 		dir := *cacheDir
@@ -193,7 +220,7 @@ func mainExit() int {
 			}
 			dir = filepath.Join(ucd, "ecoscale", "cas")
 		}
-		store, err := cas.Open(cas.Options{Dir: dir, ReadOnly: *cacheRO, Metrics: metrics})
+		store, err := cas.Open(cas.Options{Dir: dir, ReadOnly: *cacheRO, Metrics: cacheMetrics})
 		if err != nil {
 			log.Printf("ecobench: -cache: %v", err)
 			return 1
@@ -214,31 +241,8 @@ func mainExit() int {
 		}
 	}
 
-	var results []jsonResult
-	var failures []string
 	start := time.Now()
-	for _, s := range sel {
-		if !*jsonOut {
-			fmt.Printf("### %s — %s (%s)\n", s.ID, s.Title, s.Source)
-		}
-		tbl, err := runner.Run(context.Background(), s, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", s.ID, err)
-			failures = append(failures, s.ID)
-			continue
-		}
-		switch {
-		case *jsonOut:
-			results = append(results, jsonResult{
-				ID: s.ID, Title: s.Title, Source: s.Source,
-				Columns: tbl.Columns, Rows: tbl.Rows,
-			})
-		case *csv:
-			fmt.Print(tbl.CSV())
-		default:
-			fmt.Println(tbl)
-		}
-	}
+	results, failures := runTables(os.Stdout, sel, opts, *csv, *jsonOut)
 	if *jsonOut {
 		snap := metrics.Snapshot()
 		enc := json.NewEncoder(os.Stdout)
@@ -255,14 +259,16 @@ func mainExit() int {
 			completed, failed, time.Since(start).Round(time.Millisecond), *parallel)
 		if opts.Cache != nil {
 			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d deduplicated, %d corrupt\n",
-				metrics.CounterTotal(cas.MetricHits), metrics.CounterTotal(cas.MetricMisses),
-				metrics.CounterTotal(cas.MetricDedup), metrics.CounterTotal(cas.MetricCorrupt))
+				cacheMetrics.CounterTotal(cas.MetricHits), cacheMetrics.CounterTotal(cas.MetricMisses),
+				cacheMetrics.CounterTotal(cas.MetricDedup), cacheMetrics.CounterTotal(cas.MetricCorrupt))
 		}
 	}
 	if *metricsOut {
-		if err := metrics.WritePrometheus(os.Stderr); err != nil {
-			log.Print(err)
-			return 1
+		for _, r := range []*trace.Registry{metrics, cacheMetrics} {
+			if err := r.WritePrometheus(os.Stderr); err != nil {
+				log.Print(err)
+				return 1
+			}
 		}
 	}
 	if len(failures) > 0 {

@@ -9,8 +9,6 @@
 //	ecosim -kernel montecarlo -tasks 200 -n 8192 -sharing private
 //	ecosim -balance polling -skew    # imbalanced arrival
 //	ecosim -tasks 256 -fault-mtbf 100us -ckpt-interval 50us  # resilience
-//	ecosim -shards 4                 # parallel conservative-sync simulation;
-//	                                 # incompatible with -trace/-profile/-flowtrace
 package main
 
 import (
@@ -49,7 +47,6 @@ func main() {
 	ports := flag.Int("ports", 8, "HLS memory ports for the deployed engine")
 	compress := flag.Bool("compress", true, "compressed bitstream loading")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 0, "event-engine shards, conservative NoC-lookahead sync (0 = classic single engine)")
 	flowTrace := flag.Bool("flowtrace", false, "print the Fig. 5 layer-interaction trace")
 	flowCap := flag.Int("flowcap", 40, "max layer-interaction events to print with -flowtrace")
 	diagram := flag.Bool("diagram", false, "print Worker 0's Fig. 4 block diagram before running")
@@ -79,6 +76,9 @@ func main() {
 		return
 	}
 
+	if err := checkWorkload(*nSize, *tasks); err != nil {
+		log.Fatal(err)
+	}
 	w, err := workload.ByName(*kernelName)
 	if err != nil {
 		log.Fatal(err)
@@ -86,7 +86,6 @@ func main() {
 
 	cfg := ecoscale.DefaultConfig(*workers, *nodes)
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	cfg.CompressedBitstreams = *compress
 	cfg.FlowTrace = *flowTrace
 	cfg.Trace = *traceOut != ""
@@ -160,10 +159,7 @@ func main() {
 	buf := m.Space.Alloc(0, *nSize*8)
 	out := m.Space.Alloc(0, 4096)
 
-	// Completion counters are per-worker: on a sharded machine the
-	// callbacks fire concurrently, one goroutine per shard.
-	doneBy := make([]int, m.Workers())
-	errsBy := make([]int, m.Workers())
+	done, taskErrs := 0, 0
 	start := m.Now()
 	for i := 0; i < *tasks; i++ {
 		target := i % m.Workers()
@@ -177,9 +173,9 @@ func main() {
 			Writes:   []accel.Span{{Addr: out, Size: 64}},
 			SWStats:  stats,
 		}, func(_ rts.Device, err error) {
-			doneBy[target]++
+			done++
 			if err != nil {
-				errsBy[target]++
+				taskErrs++
 			}
 		})
 	}
@@ -194,11 +190,6 @@ func main() {
 		fmt.Printf("armed %d fault events (seed %d)\n", m.InjectFaults(plan), *faultSeed)
 	}
 	end := m.Run()
-	done, taskErrs := 0, 0
-	for w := range doneBy {
-		done += doneBy[w]
-		taskErrs += errsBy[w]
-	}
 	if done != *tasks {
 		log.Fatalf("lost tasks: %d of %d", done, *tasks)
 	}
@@ -211,8 +202,8 @@ func main() {
 	fmt.Printf("%d tasks of %s(N=%d) finished in %v (policy=%s sharing=%s balance=%s)\n\n",
 		*tasks, w.Name, *nSize, end-start, *policy, *sharing, *balance)
 	fmt.Println(m.Report())
-	if steals, msgs := m.StealStats(); steals > 0 {
-		fmt.Printf("work stealing: %d steals, %d monitor msgs\n", steals, msgs)
+	if m.Cluster.Steals > 0 {
+		fmt.Printf("work stealing: %d steals, %d monitor msgs\n", m.Cluster.Steals, m.Cluster.StealMsgs)
 	}
 	if *flowTrace && m.Flow != nil {
 		evs := m.Flow.Events()
@@ -252,6 +243,18 @@ func main() {
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsJSON)
 	}
+}
+
+// checkWorkload rejects a problem size or task count no run can use, before
+// any machine is built.
+func checkWorkload(n, tasks int) error {
+	if n < 1 {
+		return fmt.Errorf("ecosim: -n %d: the problem size must be at least 1", n)
+	}
+	if tasks < 0 {
+		return fmt.Errorf("ecosim: -tasks %d: the task count cannot be negative", tasks)
+	}
+	return nil
 }
 
 // writeFile streams render into path, reporting the first error from

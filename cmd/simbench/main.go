@@ -13,7 +13,7 @@
 //
 //	simbench                      # full run, writes BENCH_sim.json
 //	simbench -out -               # write JSON to stdout
-//	simbench -quick               # smoke mode (fewer events, 1 round)
+//	simbench -quick               # smoke mode (fewer events, E2 only)
 //	simbench -events N -rounds R  # tune measurement effort
 //	simbench -esuite E2,E3        # choose the timed experiment subset
 //	simbench -rsuite R1,R3        # choose the timed resilience subset
@@ -73,29 +73,11 @@ type report struct {
 	// CacheWarm times the same E-suite subset twice against a fresh
 	// content-addressed result cache: the cold pass simulates and
 	// populates it, the warm pass must be served entirely from it with
-	// byte-identical tables (a mismatch aborts the benchmark). Like
-	// shard_scaling, the wall-clock fields are host-bound — benchcmp
-	// only compares the speedup across runs with matching procs.
+	// byte-identical tables (a mismatch aborts the benchmark). The
+	// wall-clock fields are host-bound — benchcmp only compares the
+	// speedup across runs with matching procs.
 	CacheWarm *cacheWarmResult  `json:"cache_warm,omitempty"`
 	Footprint []footprintResult `json:"machine_footprint,omitempty"`
-	// ShardScaling times the conservative-sync engine group at growing
-	// shard counts on a fixed workload. Procs records the host
-	// parallelism actually available: with procs=1 the series measures
-	// sharding overhead (barriers + cross-shard mail), not speedup, and
-	// benchcmp treats wall-clock fields as incomparable across hosts
-	// with different procs.
-	ShardScaling []shardScalingResult `json:"shard_scaling,omitempty"`
-}
-
-// shardScalingResult is one point of the shard-scaling series.
-type shardScalingResult struct {
-	Shards       int     `json:"shards"`
-	Procs        int     `json:"procs"`
-	Events       uint64  `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup_vs_1_shard"`
-	Checksum     string  `json:"checksum"` // must match across all shard counts
 }
 
 // footprintResult is one point of the flyweight weak-scaling series:
@@ -159,8 +141,10 @@ func cacheWarmSeries(ids []string, parallel int) (*cacheWarmResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	metrics := trace.NewRegistry()
-	store, err := cas.Open(cas.Options{Dir: dir, Metrics: metrics})
+	// The store counts from the pool's goroutines under its own lock, so
+	// it gets a registry of its own rather than sharing the runner's.
+	metrics, cacheMetrics := trace.NewRegistry(), trace.NewRegistry()
+	store, err := cas.Open(cas.Options{Dir: dir, Metrics: cacheMetrics})
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +168,7 @@ func cacheWarmSeries(ids []string, parallel int) (*cacheWarmResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	misses := metrics.CounterTotal(cas.MetricMisses)
+	misses := cacheMetrics.CounterTotal(cas.MetricMisses)
 	warmOut, warmWall, err := pass()
 	if err != nil {
 		return nil, err
@@ -200,9 +184,9 @@ func cacheWarmSeries(ids []string, parallel int) (*cacheWarmResult, error) {
 		ColdSeconds: coldWall,
 		WarmSeconds: warmWall,
 		Speedup:     coldWall / warmWall,
-		Hits:        metrics.CounterTotal(cas.MetricHits),
+		Hits:        cacheMetrics.CounterTotal(cas.MetricHits),
 		Misses:      misses,
-		BytesOnDisk: metrics.CounterTotal(cas.MetricBytesOut),
+		BytesOnDisk: cacheMetrics.CounterTotal(cas.MetricBytesOut),
 	}, nil
 }
 
@@ -420,58 +404,6 @@ func footprintSeries(quick bool) []footprintResult {
 	return out
 }
 
-// shardScalingSeries runs the WeakScaling workload at growing shard
-// counts, keeping the workload fixed so the ratio to the 1-shard point
-// is the parallel speedup (or, on a single-CPU host, the sharding
-// overhead). The per-CN completion checksum must be identical at every
-// shard count — a mismatch is a determinism bug, not a perf result, and
-// aborts the benchmark.
-func shardScalingSeries(quick bool, rounds int) []shardScalingResult {
-	tasks := 2000
-	if quick {
-		tasks = 300
-	}
-	procs := runtime.GOMAXPROCS(0)
-	var out []shardScalingResult
-	var base float64
-	for _, k := range []int{1, 2, 4, 8} {
-		w := sim.WeakScaling{
-			Shards: k, CNs: 32, WorkersPerCN: 4,
-			TasksPerWork: tasks, CrossPermil: 50, Seed: 1,
-		}
-		var best shardScalingResult
-		for r := 0; r < rounds; r++ {
-			runtime.GC()
-			t0 := time.Now()
-			res := w.Run()
-			wall := time.Since(t0)
-			cur := shardScalingResult{
-				Shards:       k,
-				Procs:        procs,
-				Events:       res.Events,
-				WallSeconds:  wall.Seconds(),
-				EventsPerSec: float64(res.Events) / wall.Seconds(),
-				Checksum:     fmt.Sprintf("%016x", res.Checksum),
-			}
-			if r == 0 || cur.WallSeconds < best.WallSeconds {
-				best = cur
-			}
-		}
-		if len(out) > 0 && best.Checksum != out[0].Checksum {
-			log.Fatalf("shard_scaling: checksum diverged at %d shards: %s vs %s",
-				k, best.Checksum, out[0].Checksum)
-		}
-		if base == 0 {
-			base = best.EventsPerSec
-		}
-		best.Speedup = best.EventsPerSec / base
-		out = append(out, best)
-		fmt.Fprintf(os.Stderr, "shard_scaling k=%d %12.0f ev/s  speedup %.2fx  (procs=%d)\n",
-			k, best.EventsPerSec, best.Speedup, procs)
-	}
-	return out
-}
-
 // esuiteWall runs the selected experiments sequentially through the
 // production runner and reports wall time plus completed point count.
 func esuiteWall(ids []string, parallel int) (*esuiteResult, error) {
@@ -512,12 +444,13 @@ func main() {
 	esuite := flag.String("esuite", "E2,E3,E4,E10,A1", "comma-separated experiments to time end-to-end (empty = skip)")
 	rsuite := flag.String("rsuite", "R1,R2,R3,R4", "comma-separated resilience experiments to time end-to-end (empty = skip)")
 	parallel := flag.Int("parallel", 1, "runner pool size for the E-suite timing (1 = sequential)")
-	quick := flag.Bool("quick", false, "smoke mode: 200k events, 1 round, E2 only")
+	quick := flag.Bool("quick", false, "smoke mode: 200k events, E2 only")
 	flag.Parse()
 
 	if *quick {
 		*events = 200_000
-		*rounds = 1
+		// Rounds stay at best-of-N: benchcmp gates the kernel ratios of
+		// quick runs, and a single short round is too noisy for that.
 		*esuite = "E2"
 		// Keep the resilience series in smoke mode too, on the trimmed
 		// sweeps, so BENCH_sim.json always carries an r_suite_wall point.
@@ -558,7 +491,6 @@ func main() {
 	}
 
 	rep.Footprint = footprintSeries(*quick)
-	rep.ShardScaling = shardScalingSeries(*quick, *rounds)
 
 	if *esuite != "" {
 		es, err := esuiteWall(strings.Split(*esuite, ","), *parallel)

@@ -116,12 +116,7 @@ func NewManager(worker int, fab *fabric.Fabric, space *unimem.Space, mmu *smmu.S
 	return &Manager{
 		Worker: worker, Fab: fab, Space: space, MMU: mmu, Meter: meter,
 		Virtualize: true, StreamWindow: 8,
-		// The manager's engine is its own worker's shard instance: every
-		// post-doorbell stage (translate, stream, pipeline, writeback) runs
-		// at the hosting Worker's LP, so timers and resources must live on
-		// the engine that owns it — the group-wide instance would race other
-		// shards' clocks.
-		eng:       space.Network().For(worker).Engine(),
+		eng:       space.Engine(),
 		instances: map[string]*Instance{},
 		nextSID:   worker * 1000,
 	}
@@ -287,7 +282,7 @@ func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
 	// Doorbell: a small store transaction from caller to the hosting
 	// Worker (free when local).
 	issued := m.eng.Now()
-	m.Space.Network().For(caller).Send(caller, in.Worker, 16, noc.Store, func() {
+	m.Space.Network().Send(caller, in.Worker, 16, noc.Store, func() {
 		m.Flow.Add(int64(m.eng.Now()), "middleware", "doorbell for %s at worker %d (from w%d)",
 			in.Placement.Module.Name, in.Worker, caller)
 		// SMMU translation for the call's first VA (per-call page pin);
@@ -427,8 +422,7 @@ func execWriteback(a any) {
 	for _, w := range spec.Writes {
 		// Identity write-back: the result bytes are already final in the
 		// space (the data plane ran in spec.Exec), so only the store
-		// traffic is modeled. Peeking the bytes here would read pages the
-		// hosting Worker's LP does not own.
+		// traffic is modeled.
 		m.Space.StreamWriteback(in.Worker, w.Addr, w.Size, m.StreamWindow, wg.DoneOne)
 	}
 	wg.WaitCall(execDone, op)
@@ -510,7 +504,7 @@ func Chain(caller int, stages []*Instance, data Span, bindings map[string]float6
 					// On-chip hand-off between chained stages: a single
 					// line-sized token, not the whole buffer.
 					if i+1 < len(stages) && stages[i+1].Worker != st.Worker {
-						st.mgr.Space.Network().For(st.Worker).Send(st.Worker, stages[i+1].Worker, 64, noc.Store, func() { step(i + 1) })
+						st.mgr.Space.Network().Send(st.Worker, stages[i+1].Worker, 64, noc.Store, func() { step(i + 1) })
 						return
 					}
 					step(i + 1)

@@ -135,7 +135,10 @@ type Options struct {
 	// no deletion of corrupt files. The process-local memory tier still
 	// works. For sharing a cache directory that another process owns.
 	ReadOnly bool
-	// Metrics, when set, receives the cache.* counters.
+	// Metrics, when set, receives the cache.* counters. The store writes
+	// it under its own lock from whichever goroutine calls it, so the
+	// registry must not be shared with another writer (such as a
+	// runner's Options.Metrics).
 	Metrics *trace.Registry
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ecoscale/internal/accel"
 	"ecoscale/internal/fault"
@@ -25,20 +23,18 @@ import (
 // built before this file existed.
 
 // faultState is the machine's armed-faults extension, nil until needed.
-// The dead bitmap is atomic: on a sharded machine a kill executes at the
-// victim's LP while buddy searches read the bitmap from other LPs.
 type faultState struct {
 	injector  *fault.Injector
 	ckpt      *fault.Checkpointer
 	ckptCfg   fault.CheckpointConfig
-	dead      []atomic.Bool
-	deadCount atomic.Int32
+	dead      []bool
+	deadCount int
 }
 
 // WorkerLive reports whether Worker w is alive (always true before any
 // fault is armed or injected).
 func (m *Machine) WorkerLive(w int) bool {
-	return m.faults == nil || !m.faults.dead[w].Load()
+	return m.faults == nil || !m.faults.dead[w]
 }
 
 // DeadWorkers returns how many Workers have been killed.
@@ -46,7 +42,7 @@ func (m *Machine) DeadWorkers() int {
 	if m.faults == nil {
 		return 0
 	}
-	return int(m.faults.deadCount.Load())
+	return m.faults.deadCount
 }
 
 // Busy reports whether any Worker has queued or running tasks.
@@ -68,7 +64,7 @@ func (m *Machine) armFaults(ckptCfg fault.CheckpointConfig) *faultState {
 		return m.faults
 	}
 	m.faults = &faultState{
-		dead:    make([]atomic.Bool, m.Workers()),
+		dead:    make([]bool, m.Workers()),
 		ckptCfg: ckptCfg.Norm(),
 	}
 	if m.Daemon != nil {
@@ -81,7 +77,7 @@ func (m *Machine) armFaults(ckptCfg fault.CheckpointConfig) *faultState {
 // domainUnload is the Manager.OnUnload hook: any instance leaving a
 // fabric (eviction, migration, failure) leaves the routing table too.
 func (m *Machine) domainUnload(in *accel.Instance) {
-	m.domainOf(in.Worker).Deregister(in)
+	m.Domain.Deregister(in)
 }
 
 // InjectFaults expands and arms a fault plan. It returns the number of
@@ -93,42 +89,18 @@ func (m *Machine) InjectFaults(p *fault.Plan) int {
 	}
 	fs := m.armFaults(p.Checkpoint)
 	if fs.injector == nil {
-		hooks := fault.Hooks{
+		fs.injector = fault.NewInjector(m.Eng, fault.Hooks{
 			KillWorker: m.KillWorker,
 			FailRegion: m.FailFabricRegion,
 			FlapLink:   m.FlapLink,
-		}
-		if m.Grp != nil {
-			// The injector's timers tick on the control LP; each fault
-			// hops to the LP owning the state it mutates, one lookahead
-			// late — the injection schedule stays deterministic, and the
-			// mutation runs where the conservative protocol requires.
-			hooks = fault.Hooks{
-				KillWorker: func(w int) {
-					m.hopFromCtrl(m.workerLP(w), func() { m.KillWorker(w) })
-				},
-				FailRegion: func(w, row, col int) {
-					m.hopFromCtrl(m.workerLP(w), func() { m.FailFabricRegion(w, row, col) })
-				},
-				FlapLink: func(w, level int, down sim.Time) {
-					m.hopFromCtrl(m.Net.LinkOwnerLP(w, level), func() { m.FlapLink(w, level, down) })
-				},
-			}
-		}
-		fs.injector = fault.NewInjector(m.Eng, hooks)
+		})
 	}
 	events := p.Schedule(fault.Shape{
 		Workers: m.Workers(),
 		Rows:    m.Cfg.Fabric.Rows, Cols: m.Cfg.Fabric.Cols,
 		Levels: m.Tree.MaxHops(),
 	})
-	if m.Grp != nil && !m.Grp.Running() {
-		m.Eng.SetupLP(m.ctrlLP)
-	}
 	n := fs.injector.Arm(events)
-	if m.Grp != nil && p.Checkpoint.Interval > 0 {
-		panic("core: checkpointing is a single-engine feature; disable it or set Shards to 0")
-	}
 	if p.Checkpoint.Interval > 0 && fs.ckpt == nil {
 		fs.ckpt = fault.NewCheckpointer(m.Eng, p.Checkpoint, fault.CkptHooks{
 			Busy:    m.Busy,
@@ -157,7 +129,7 @@ func (m *Machine) InjectFaults(p *fault.Plan) int {
 func (m *Machine) checkpointWorkers() []int {
 	var ws []int
 	m.EachSched(func(s *rts.Scheduler) {
-		if !m.faults.dead[s.Worker].Load() && s.Outstanding() > 0 {
+		if !m.faults.dead[s.Worker] && s.Outstanding() > 0 {
 			ws = append(ws, s.Worker)
 		}
 	})
@@ -170,7 +142,7 @@ func (m *Machine) nextLive(w int) int {
 	n := m.Workers()
 	for i := 1; i < n; i++ {
 		c := (w + i) % n
-		if !m.faults.dead[c].Load() {
+		if !m.faults.dead[c] {
 			return c
 		}
 	}
@@ -184,23 +156,18 @@ func (m *Machine) nextLive(w int) int {
 // tasks resubmit to that buddy after the restart penalty — a checkpoint
 // restore plus partial recompute when checkpointing ran, a full
 // recompute bill when it did not. Idempotent per Worker.
-// On a sharded machine KillWorker must execute at w's LP (the injector's
-// hook arranges this); resubmission to the buddy hops across the
-// interconnect, so recovery timing — unlike every healthy-path
-// observable — is not shard-count-invariant.
 func (m *Machine) KillWorker(w int) {
 	fs := m.armFaults(fault.CheckpointConfig{})
-	if w < 0 || w >= m.Workers() || !fs.dead[w].CompareAndSwap(false, true) {
+	if w < 0 || w >= m.Workers() || fs.dead[w] {
 		return
 	}
-	fs.deadCount.Add(1)
-	eng := m.engOf(w)
-	reg := m.regOf(w)
-	now := eng.Now()
+	fs.dead[w] = true
+	fs.deadCount++
+	now := m.Eng.Now()
 	m.Tracer.Add(trace.Span{Name: "kill-worker", Cat: trace.CatFault,
 		Start: int64(now), End: int64(now),
 		PID: trace.WorkerPID(w), TID: trace.TIDCPU})
-	reg.Counter("fault.worker_deaths").Inc()
+	m.Reg.Counter("fault.worker_deaths").Inc()
 	m.Flow.Add(int64(now), "fault", "worker %d fail-stopped", w)
 
 	// Fabric side: every instance on w is lost; in-flight calls on them
@@ -211,7 +178,7 @@ func (m *Machine) KillWorker(w int) {
 		}
 		lost := mgr.FailAll()
 		if len(lost) > 0 {
-			reg.Counter("fault.modules_lost").Add(uint64(len(lost)))
+			m.Reg.Counter("fault.modules_lost").Add(uint64(len(lost)))
 		}
 	}
 
@@ -221,7 +188,7 @@ func (m *Machine) KillWorker(w int) {
 	if target >= 0 {
 		t := target
 		s.Reroute = func(task *rts.Task, done func(rts.Device, error)) {
-			m.submitFrom(w, t, task, done)
+			m.Cluster.Submit(t, task, done)
 		}
 	}
 	evacs := s.Fail()
@@ -235,21 +202,20 @@ func (m *Machine) KillWorker(w int) {
 		return
 	}
 
-	wg := sim.NewWaitGroup(eng, 2)
+	wg := sim.NewWaitGroup(m.Eng, 2)
 	wg.Wait(func() {
-		end := eng.Now()
+		end := m.Eng.Now()
 		m.Tracer.Add(trace.Span{Name: "evacuate", Cat: trace.CatRecover,
 			Start: int64(now), End: int64(end),
 			PID: trace.WorkerPID(w), TID: trace.TIDCPU, Arg: int64(target)})
-		trace.LatencyHistogram(reg, "lat.evac_us").Observe((end - now).Micros())
+		trace.LatencyHistogram(m.Reg, "lat.evac_us").Observe((end - now).Micros())
 	})
 
-	// Memory side: the dead Worker's pages stream to the buddy. The
-	// completion lands back at w's LP (see unimem/evacuate.go).
+	// Memory side: the dead Worker's pages stream to the buddy.
 	m.Space.EvacuateWorker(w, target, func(pages int, bytes int64) {
 		if pages > 0 {
-			reg.Counter("fault.pages_evacuated").Add(uint64(pages))
-			reg.Counter("fault.bytes_evacuated").Add(uint64(bytes))
+			m.Reg.Counter("fault.pages_evacuated").Add(uint64(pages))
+			m.Reg.Counter("fault.bytes_evacuated").Add(uint64(bytes))
 		}
 		wg.DoneOne()
 	})
@@ -257,8 +223,8 @@ func (m *Machine) KillWorker(w int) {
 	// Task side: resubmit after the restart penalty.
 	resubmit := func() {
 		for _, e := range evacs {
-			reg.Counter("fault.tasks_evacuated").Inc()
-			m.submitFrom(w, target, e.Task, e.Done)
+			m.Reg.Counter("fault.tasks_evacuated").Inc()
+			m.Cluster.Submit(target, e.Task, e.Done)
 		}
 		wg.DoneOne()
 	}
@@ -266,27 +232,14 @@ func (m *Machine) KillWorker(w int) {
 	if fs.ckpt != nil && fs.ckpt.Has(w) {
 		// Restore the snapshot at the buddy, then redo the work since it.
 		recompute := sim.Time(frac * float64(now-fs.ckpt.LastAt(w)))
-		reg.Counter("fault.restores").Inc()
+		m.Reg.Counter("fault.restores").Inc()
 		m.Net.DMATransfer(target, target, fs.ckptCfg.Bytes, noc.DefaultDMAConfig(), func() {
-			eng.After(recompute, resubmit)
+			m.Eng.After(recompute, resubmit)
 		})
 	} else {
 		// No checkpoint: the Worker's whole history is gone.
-		eng.After(sim.Time(frac*float64(now)), resubmit)
+		m.Eng.After(sim.Time(frac*float64(now)), resubmit)
 	}
-}
-
-// submitFrom enqueues a task on Worker to's scheduler from code running
-// at Worker from's LP, hopping across the interconnect when the two live
-// on different Compute Nodes.
-func (m *Machine) submitFrom(from, to int, task *rts.Task, done func(rts.Device, error)) {
-	if m.Grp == nil || m.workerLP(from) == m.workerLP(to) {
-		m.clusterOf(to).Submit(to, task, done)
-		return
-	}
-	m.netOf(from).HopToWorker(to, func() {
-		m.clusterOf(to).Submit(to, task, done)
-	})
 }
 
 // FailFabricRegion permanently disables region (row, col) of Worker w's
@@ -295,20 +248,16 @@ func (m *Machine) submitFrom(from, to int, task *rts.Task, done func(rts.Device,
 // same Worker — or, when even the compacted fabric cannot host it, left
 // to software execution (the policy layer degrades to CPU on its own
 // once no instance is registered).
-// On a sharded machine FailFabricRegion must execute at w's LP (the
-// injector's hook arranges this).
 func (m *Machine) FailFabricRegion(w, row, col int) {
 	fs := m.armFaults(fault.CheckpointConfig{})
-	if w < 0 || w >= m.Workers() || fs.dead[w].Load() {
+	if w < 0 || w >= m.Workers() || fs.dead[w] {
 		return
 	}
-	eng := m.engOf(w)
-	reg := m.regOf(w)
-	now := eng.Now()
+	now := m.Eng.Now()
 	m.Tracer.Add(trace.Span{Name: "fail-region", Cat: trace.CatFault,
 		Start: int64(now), End: int64(now),
 		PID: trace.WorkerPID(w), TID: trace.TIDFabric, Arg: int64(row*m.Cfg.Fabric.Cols + col)})
-	reg.Counter("fault.region_failures").Inc()
+	m.Reg.Counter("fault.region_failures").Inc()
 	m.Flow.Add(int64(now), "fault", "worker %d fabric region (%d,%d) failed", w, row, col)
 	mgr := m.Manager(w)
 	if mgr.OnUnload == nil {
@@ -318,43 +267,36 @@ func (m *Machine) FailFabricRegion(w, row, col int) {
 	if len(lost) == 0 {
 		return
 	}
-	reg.Counter("fault.modules_lost").Add(uint64(len(lost)))
+	m.Reg.Counter("fault.modules_lost").Add(uint64(len(lost)))
 	// Re-floorplan the survivors around the hole, then bring the lost
 	// modules back if the compacted fabric still has room.
 	mgr.Fab.Defragment()
 	for _, in := range lost {
 		in := in
-		m.domainOf(w).Deploy(w, in.Impl, func(_ *accel.Instance, err error) {
+		m.Domain.Deploy(w, in.Impl, func(_ *accel.Instance, err error) {
 			name := in.Impl.Kernel.Name
 			if err != nil {
-				reg.Counter("fault.sw_fallbacks").Inc()
-				m.Flow.Add(int64(eng.Now()), "fault", "%s@w%d not redeployable (%v); software fallback", name, w, err)
+				m.Reg.Counter("fault.sw_fallbacks").Inc()
+				m.Flow.Add(int64(m.Eng.Now()), "fault", "%s@w%d not redeployable (%v); software fallback", name, w, err)
 				return
 			}
-			reg.Counter("fault.modules_redeployed").Inc()
+			m.Reg.Counter("fault.modules_redeployed").Inc()
 			m.Tracer.Add(trace.Span{Name: "redeploy", Cat: trace.CatRecover,
-				Start: int64(now), End: int64(eng.Now()),
+				Start: int64(now), End: int64(m.Eng.Now()),
 				PID: trace.WorkerPID(w), TID: trace.TIDFabric, Detail: name})
 		})
 	}
 }
 
 // FlapLink takes Worker w's level-level uplink out of service for down
-// simulated time; traffic queues behind the outage. On a sharded machine
-// it must execute at the link's owner LP (Net.LinkOwnerLP; the
-// injector's hook arranges this) and flaps the owner shard's instance.
+// simulated time; traffic queues behind the outage.
 func (m *Machine) FlapLink(w, level int, down sim.Time) {
-	n := m.Net
-	if m.Grp != nil {
-		n = m.nets[m.Grp.ShardOf(m.Net.LinkOwnerLP(w, level))]
-	}
-	if n.FlapLink(w, level, down) {
-		eng := n.Engine()
-		now := eng.Now()
+	if m.Net.FlapLink(w, level, down) {
+		now := m.Eng.Now()
 		m.Tracer.Add(trace.Span{Name: "flap-link", Cat: trace.CatFault,
 			Start: int64(now), End: int64(now + down),
 			PID: trace.WorkerPID(w), TID: trace.TIDDMA, Arg: int64(level)})
-		n.Reg().Counter("fault.link_flaps").Inc()
+		m.Reg.Counter("fault.link_flaps").Inc()
 		m.Flow.Add(int64(now), "fault", "worker %d level-%d link down for %v", w, level, down)
 	}
 }
@@ -365,7 +307,7 @@ func (m *Machine) faultReport() string {
 	if m.faults == nil {
 		return ""
 	}
-	reg := m.mergedReg()
+	reg := m.Reg
 	var b strings.Builder
 	fmt.Fprintf(&b, "faults: %d worker deaths, %d region failures, %d link flaps\n",
 		reg.CounterTotal("fault.worker_deaths"),
@@ -401,11 +343,10 @@ func (m *Machine) sortedDead() []int {
 		return nil
 	}
 	var out []int
-	for w := range m.faults.dead {
-		if m.faults.dead[w].Load() {
+	for w, dead := range m.faults.dead {
+		if dead {
 			out = append(out, w)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

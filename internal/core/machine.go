@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ecoscale/internal/accel"
@@ -86,17 +85,6 @@ type Config struct {
 	Profile bool
 	// ProfileInterval is the sampling period (0 = 10µs default).
 	ProfileInterval sim.Time
-	// Shards > 0 runs the machine as a conservatively synchronized
-	// parallel simulation: Compute Nodes are partitioned onto Shards
-	// engines (one logical process per Compute Node) that advance in
-	// lookahead-bounded time windows, exchanging cross-node traffic as
-	// timestamped messages. The event schedule — and every integer
-	// observable derived from it — is invariant under the shard count;
-	// see docs/perf.md. 0 keeps the classic single-engine machine.
-	// Sharded machines reject Trace/Profile/FlowTrace (shared span sinks
-	// are not shard-safe) and scope accelerator sharing and work stealing
-	// to the Compute Node, the paper's PGAS domain.
-	Shards int
 }
 
 // DefaultConfig returns a 2-level machine: workersPerCN Workers in each
@@ -143,12 +131,6 @@ func (cfg Config) Validate() error {
 	if cfg.SMMU.TLBEntries <= 0 {
 		return fmt.Errorf("core: SMMU needs at least one TLB entry, got %d", cfg.SMMU.TLBEntries)
 	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("core: Shards = %d; want 0 (single engine) or a positive shard count", cfg.Shards)
-	}
-	if cfg.Shards > 0 && (cfg.Trace || cfg.Profile || cfg.FlowTrace) {
-		return fmt.Errorf("core: span tracing, profiling and flow tracing are single-engine features; disable them or set Shards to 0")
-	}
 	return nil
 }
 
@@ -178,23 +160,6 @@ type Machine struct {
 	// Prof is the simulation profiler (nil unless Config.Profile).
 	Prof *profile.Profiler
 
-	// Sharded spine (nil / empty unless Cfg.Shards > 0). Grp owns one
-	// engine per shard plus the LP map: LP cn is Compute Node cn, and one
-	// extra control LP (ctrlLP, on shard 0) carries machine-level timers
-	// like the fault injector. The exported Eng/Net/Reg/Meter fields
-	// alias shard 0 so topology-only accessors keep working; per-worker
-	// state routes through engOf/netOf/regOf/meterOf. Domain, Cluster
-	// and Daemon are nil on a sharded machine — each Compute Node gets
-	// its own domain and work-stealing cluster (domains/clusters), and
-	// the reconfiguration daemon stays a single-engine feature.
-	Grp      *sim.Group
-	ctrlLP   int32
-	nets     []*noc.Network
-	regs     []*trace.Registry
-	meters   []*energy.Meter
-	domains  []*unilogic.Domain
-	clusters []*rts.Cluster
-
 	// Flyweight state: shells[cn] is nil while Compute Node cn is
 	// quiescent; census aggregates liveness up the tree.
 	shells    []*nodeShell
@@ -220,14 +185,10 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{Cfg: cfg}
 	m.Tree = topo.NewTree(cfg.FanOut...)
-	if cfg.Shards > 0 {
-		m.buildShardSpine(cfg)
-	} else {
-		m.Eng = sim.NewEngine(cfg.Seed)
-		m.Reg = trace.NewRegistry()
-		m.Meter = energy.NewMeter(m.Eng, cfg.Cost)
-		m.Net = noc.NewNetwork(m.Eng, m.Tree, noc.DefaultConfig(m.Tree.MaxHops()), m.Meter, m.Reg)
-	}
+	m.Eng = sim.NewEngine(cfg.Seed)
+	m.Reg = trace.NewRegistry()
+	m.Meter = energy.NewMeter(m.Eng, cfg.Cost)
+	m.Net = noc.NewNetwork(m.Eng, m.Tree, noc.DefaultConfig(m.Tree.MaxHops()), m.Meter, m.Reg)
 	m.Space = unimem.NewSpace(m.Net, cfg.Unimem, m.Reg)
 
 	workers := m.Tree.NumWorkers()
@@ -249,67 +210,26 @@ func New(cfg Config) *Machine {
 	}
 	// Static power for every Worker's components, whether or not the
 	// Worker ever materializes: one coalesced record replayed in the
-	// exact per-worker accumulation order at settle time. On a sharded
-	// machine each shard's meter accounts its own Workers.
-	loads := []energy.StaticLoad{
-		{Category: "static.cpu", Power: cfg.Cost.CPUStatic},
-		{Category: "static.dram", Power: cfg.Cost.DRAMStatic},
-		{Category: "static.fpga", Power: cfg.Cost.FPGAStatic},
-	}
-	if m.Grp != nil {
-		per := make([]int, m.Grp.Shards())
-		for cn := 0; cn < m.Tree.NumComputeNodes(); cn++ {
-			per[m.Grp.ShardOf(int32(cn))] += m.wpc
-		}
-		for i, n := range per {
-			if n > 0 {
-				m.meters[i].AddStaticRepeated(n, loads...)
-			}
-		}
-	} else {
-		m.Meter.AddStaticRepeated(workers, loads...)
-	}
+	// exact per-worker accumulation order at settle time.
+	m.Meter.AddStaticRepeated(workers,
+		energy.StaticLoad{Category: "static.cpu", Power: cfg.Cost.CPUStatic},
+		energy.StaticLoad{Category: "static.dram", Power: cfg.Cost.DRAMStatic},
+		energy.StaticLoad{Category: "static.fpga", Power: cfg.Cost.FPGAStatic})
 	if cfg.FlowTrace {
 		m.Flow = trace.NewFlowLog(10000)
 		m.Flow.Reg = m.Reg
 	}
-	if m.Grp != nil {
-		// One UNILOGIC domain and one work-stealing cluster per Compute
-		// Node — the PGAS domain of §4.1. Everything a Compute Node's
-		// Workers share lives on that node's LP, so domain routing tables
-		// and steal queues never cross shard goroutines. The machine-wide
-		// Domain/Cluster/Daemon singletons stay nil; per-worker access
-		// goes through domainOf/clusterOf.
-		nCN := m.Tree.NumComputeNodes()
-		m.domains = make([]*unilogic.Domain, nCN)
-		m.clusters = make([]*rts.Cluster, nCN)
-		for cn := 0; cn < nCN; cn++ {
-			shard := m.Grp.ShardOf(int32(cn))
-			d := unilogic.NewDomainFrom(m.Tree, machineManagers{m}, m.Grp.Shard(int(shard)))
-			d.Policy = cfg.Sharing
-			d.Reg = m.regs[shard]
-			m.domains[cn] = d
-			c := rts.NewClusterFrom(cfg.Balance, machineScheds{m}, m.nets[shard])
-			c.Scope(cn*m.wpc, (cn+1)*m.wpc)
-			c.Reg = m.regs[shard]
-			m.clusters[cn] = c
-		}
-		// Workers materialize concurrently on shard goroutines, so the
-		// SMMU identity-map template they clone must exist up front.
-		m.identityTemplate()
-	} else {
-		m.Domain = unilogic.NewDomainFrom(m.Tree, machineManagers{m}, m.Eng)
-		m.Domain.Policy = cfg.Sharing
-		m.Domain.Flow = m.Flow
-		m.Domain.Trace = m.Tracer
-		m.Domain.Reg = m.Reg
-		m.Cluster = rts.NewClusterFrom(cfg.Balance, machineScheds{m}, m.Net)
-		m.Cluster.Trace = m.Tracer
-		m.Cluster.Reg = m.Reg
-		m.Daemon = rts.NewDaemonFrom(m.Domain, machineScheds{m}, m.Eng)
-		m.Daemon.Trace = m.Tracer
-		m.Daemon.Reg = m.Reg
-	}
+	m.Domain = unilogic.NewDomainFrom(m.Tree, machineManagers{m}, m.Eng)
+	m.Domain.Policy = cfg.Sharing
+	m.Domain.Flow = m.Flow
+	m.Domain.Trace = m.Tracer
+	m.Domain.Reg = m.Reg
+	m.Cluster = rts.NewClusterFrom(cfg.Balance, machineScheds{m}, m.Net)
+	m.Cluster.Trace = m.Tracer
+	m.Cluster.Reg = m.Reg
+	m.Daemon = rts.NewDaemonFrom(m.Domain, machineScheds{m}, m.Eng)
+	m.Daemon.Trace = m.Tracer
+	m.Daemon.Reg = m.Reg
 	m.Comm = mpi.WorldComm(m.Net)
 	if cfg.Profile {
 		m.Prof = profile.New(m.Eng, m.Tracer, m.Reg, cfg.ProfileInterval)
@@ -330,208 +250,18 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// buildShardSpine constructs the conservative-parallel spine: one LP per
-// Compute Node plus a control LP, block-partitioned onto min(Shards,
-// nodes) engines, synchronized on the interconnect's minimum cross-node
-// hop latency. Shard 0's engine/net/registry/meter also serve as the
-// exported legacy aliases.
-func (m *Machine) buildShardSpine(cfg Config) {
-	nCN := m.Tree.NumComputeNodes()
-	k := cfg.Shards
-	if k > nCN {
-		k = nCN
-	}
-	nocCfg := noc.DefaultConfig(m.Tree.MaxHops())
-	// The control LP rides on shard 0; it owns machine-level timers (the
-	// fault injector), which reach workers via lookahead-priced posts.
-	lpShard := append(sim.BlockPartition(nCN, k), 0)
-	m.Grp = sim.NewGroup(cfg.Seed, noc.MinLookahead(nocCfg), lpShard)
-	m.ctrlLP = int32(nCN)
-	shards := m.Grp.Shards()
-	m.regs = make([]*trace.Registry, shards)
-	m.meters = make([]*energy.Meter, shards)
-	for i := range m.regs {
-		m.regs[i] = trace.NewRegistry()
-		m.meters[i] = energy.NewMeter(m.Grp.Shard(i), cfg.Cost)
-	}
-	m.nets = noc.ShardNetworks(m.Grp, m.Tree, nocCfg, m.meters, m.regs)
-	m.Eng = m.Grp.Shard(0)
-	m.Net = m.nets[0]
-	m.Reg = m.regs[0]
-	m.Meter = m.meters[0]
-}
+// Now returns the current simulated time.
+func (m *Machine) Now() sim.Time { return m.Eng.Now() }
 
-// Sharded reports whether the machine runs as a sharded parallel
-// simulation (Cfg.Shards > 0), even when only one shard resulted.
-func (m *Machine) Sharded() bool { return m.Grp != nil }
+// EventsRun returns how many events the machine has executed.
+func (m *Machine) EventsRun() uint64 { return m.Eng.EventsRun() }
 
-// workerLP returns the logical process that owns worker w: its Compute
-// Node's index.
-func (m *Machine) workerLP(w int) int32 { return int32(m.Tree.ComputeNodeOf(w)) }
+// Metrics returns the machine-wide metric registry.
+func (m *Machine) Metrics() *trace.Registry { return m.Reg }
 
-// engOf returns the engine worker w's events run on.
-func (m *Machine) engOf(w int) *sim.Engine {
-	if m.Grp == nil {
-		return m.Eng
-	}
-	return m.Grp.EngineFor(m.workerLP(w))
-}
-
-// netOf returns the interconnect instance worker w issues traffic on.
-func (m *Machine) netOf(w int) *noc.Network {
-	if m.Grp == nil {
-		return m.Net
-	}
-	return m.nets[m.Grp.ShardOf(m.workerLP(w))]
-}
-
-// regOf returns the metric registry worker w's components record into.
-func (m *Machine) regOf(w int) *trace.Registry {
-	if m.Grp == nil {
-		return m.Reg
-	}
-	return m.regs[m.Grp.ShardOf(m.workerLP(w))]
-}
-
-// meterOf returns the energy meter charging worker w's activity.
-func (m *Machine) meterOf(w int) *energy.Meter {
-	if m.Grp == nil {
-		return m.Meter
-	}
-	return m.meters[m.Grp.ShardOf(m.workerLP(w))]
-}
-
-// domainOf returns the UNILOGIC domain worker w deploys into and calls
-// through: the machine singleton, or the worker's Compute Node domain.
-func (m *Machine) domainOf(w int) *unilogic.Domain {
-	if m.Grp == nil {
-		return m.Domain
-	}
-	return m.domains[m.Tree.ComputeNodeOf(w)]
-}
-
-// clusterOf returns the work-stealing cluster worker w participates in.
-func (m *Machine) clusterOf(w int) *rts.Cluster {
-	if m.Grp == nil {
-		return m.Cluster
-	}
-	return m.clusters[m.Tree.ComputeNodeOf(w)]
-}
-
-// StealStats sums work-stealing activity over the machine's cluster —
-// or, sharded, over every Compute Node's cluster.
-func (m *Machine) StealStats() (steals, msgs uint64) {
-	if m.Grp == nil {
-		return m.Cluster.Steals, m.Cluster.StealMsgs
-	}
-	for _, c := range m.clusters {
-		steals += c.Steals
-		msgs += c.StealMsgs
-	}
-	return steals, msgs
-}
-
-// eachDomain calls fn for every UNILOGIC domain, in Compute Node order.
-func (m *Machine) eachDomain(fn func(*unilogic.Domain)) {
-	if m.Grp == nil {
-		fn(m.Domain)
-		return
-	}
-	for _, d := range m.domains {
-		fn(d)
-	}
-}
-
-// mergedReg returns a machine-wide view of the metric registries: the
-// shared one on a classic machine, a fresh fold of every shard's on a
-// sharded one. Integer counters and histogram buckets merge exactly, so
-// totals derived from the result are shard-count-invariant.
-func (m *Machine) mergedReg() *trace.Registry {
-	if m.Grp == nil {
-		return m.Reg
-	}
-	out := trace.NewRegistry()
-	for _, r := range m.regs {
-		out.MergeFrom(r)
-	}
-	return out
-}
-
-// hopFromCtrl transfers control from the control LP to lp — inline at
-// setup, one group lookahead ahead during a run, which is the only legal
-// way a control-plane timer may touch shard-owned state mid-run.
-func (m *Machine) hopFromCtrl(lp int32, fn func()) {
-	if !m.Grp.Running() {
-		m.Grp.At(lp, m.Eng.Now(), fn)
-		return
-	}
-	m.Eng.Post(lp, m.Eng.Now()+m.Grp.Lookahead(), fn)
-}
-
-// linkStats returns machine-wide link statistics. On a sharded machine
-// each link's arbitration state lives on exactly one shard's
-// interconnect instance, so the merge is a concatenation re-sorted into
-// the canonical (level, group, dir) order.
-func (m *Machine) linkStats(now sim.Time) []noc.LinkStat {
-	if m.Grp == nil {
-		return m.Net.LinkStats(now)
-	}
-	var out []noc.LinkStat
-	for _, n := range m.nets {
-		out = append(out, n.LinkStats(now)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Dir < b.Dir
-	})
-	return out
-}
-
-// Now returns the current simulated time: the engine clock, or the
-// furthest shard clock on a sharded machine (all shard clocks agree at
-// the barriers where callers observe them).
-func (m *Machine) Now() sim.Time {
-	if m.Grp == nil {
-		return m.Eng.Now()
-	}
-	var max sim.Time
-	for i := 0; i < m.Grp.Shards(); i++ {
-		if t := m.Grp.Shard(i).Now(); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// EventsRun returns how many events the machine has executed, summed
-// across shards (exactly, so it is shard-count-invariant).
-func (m *Machine) EventsRun() uint64 {
-	if m.Grp == nil {
-		return m.Eng.EventsRun()
-	}
-	return m.Grp.EventsRun()
-}
-
-// Metrics returns the machine-wide metric registry: the shared one on a
-// classic machine, a fresh merged fold of the per-shard registries on a
-// sharded one (so call it after a run, not during).
-func (m *Machine) Metrics() *trace.Registry { return m.mergedReg() }
-
-// Submit enqueues a task on worker w's scheduler via its cluster. On a
-// sharded machine it must be called either before Run (task injection at
-// setup) or from code already executing at w's LP; cross-node handoffs
-// during a run go through the interconnect, not through Submit.
+// Submit enqueues a task on worker w's scheduler via the cluster.
 func (m *Machine) Submit(w int, t *rts.Task, done func(rts.Device, error)) {
-	if m.Grp != nil && !m.Grp.Running() {
-		m.engOf(w).SetupLP(m.workerLP(w))
-	}
-	m.clusterOf(w).Submit(w, t, done)
+	m.Cluster.Submit(w, t, done)
 }
 
 // shell returns worker w's Compute Node shell, waking the node from its
@@ -556,14 +286,14 @@ func (m *Machine) Sched(w int) *rts.Scheduler {
 	sh := m.shell(w)
 	i := w % m.wpc
 	if sh.scheds[i] == nil {
-		s := rts.NewScheduler(w, m.domainOf(w), m.engOf(w), m.meterOf(w))
+		s := rts.NewScheduler(w, m.Domain, m.Eng, m.Meter)
 		s.Flow = m.Flow
 		s.Trace = m.Tracer
-		s.Reg = m.regOf(w)
+		s.Reg = m.Reg
 		if m.defPolicy != nil {
 			s.Policy = m.defPolicy
 		}
-		m.clusterOf(w).Attach(s)
+		m.Cluster.Attach(s)
 		sh.scheds[i] = s
 		m.census.MarkLive(w)
 	}
@@ -576,10 +306,10 @@ func (m *Machine) Manager(w int) *accel.Manager {
 	sh := m.shell(w)
 	i := w % m.wpc
 	if sh.mgrs[i] == nil {
-		fab := fabric.New(m.engOf(w), m.Cfg.Fabric, m.meterOf(w))
+		fab := fabric.New(m.Eng, m.Cfg.Fabric, m.Meter)
 		fab.Trace = m.Tracer
 		fab.TracePID = trace.WorkerPID(w)
-		fab.Reg = m.regOf(w)
+		fab.Reg = m.Reg
 		mmu := smmu.New(m.Cfg.SMMU)
 		// Every Worker's identity map is the same page set, so all
 		// Workers share one canonical table copy-on-write; only the
@@ -588,11 +318,11 @@ func (m *Machine) Manager(w int) *accel.Manager {
 		for sid := w * 1000; sid < w*1000+32; sid++ {
 			mmu.BindContext(sid, 1, 1)
 		}
-		mgr := accel.NewManager(w, fab, m.Space, mmu, m.meterOf(w))
+		mgr := accel.NewManager(w, fab, m.Space, mmu, m.Meter)
 		mgr.Virtualize = m.Cfg.Virtualize
 		mgr.Compressed = m.Cfg.CompressedBitstreams
 		mgr.Trace = m.Tracer
-		mgr.Reg = m.regOf(w)
+		mgr.Reg = m.Reg
 		mgr.Flow = m.Flow
 		if m.faults != nil {
 			mgr.OnUnload = m.domainUnload
@@ -700,16 +430,8 @@ func (p machineManagers) FreeRegions(w int) int {
 func (m *Machine) Workers() int { return m.Tree.NumWorkers() }
 
 // Run drains the event queue and settles static energy; it returns the
-// final simulated time. On a sharded machine the shards run in parallel
-// goroutines under the conservative window protocol.
+// final simulated time.
 func (m *Machine) Run() sim.Time {
-	if m.Grp != nil {
-		t := m.Grp.RunUntilIdle()
-		for _, mt := range m.meters {
-			mt.Settle()
-		}
-		return t
-	}
 	m.Prof.Arm()
 	t := m.Eng.RunUntilIdle()
 	m.Meter.Settle()
@@ -718,13 +440,6 @@ func (m *Machine) Run() sim.Time {
 
 // RunFor advances simulated time by at most d.
 func (m *Machine) RunFor(d sim.Time) sim.Time {
-	if m.Grp != nil {
-		t := m.Grp.Run(m.Now() + d)
-		for _, mt := range m.meters {
-			mt.Settle()
-		}
-		return t
-	}
 	m.Prof.Arm()
 	t := m.Eng.Run(m.Eng.Now() + d)
 	m.Meter.Settle()
@@ -748,17 +463,10 @@ func (m *Machine) DeployKernel(src string, dir hls.Directives, w int) (*accel.In
 	}
 	var inst *accel.Instance
 	var derr error
-	if m.Grp != nil {
-		m.engOf(w).SetupLP(m.workerLP(w))
-	}
-	m.domainOf(w).Deploy(w, im, func(in *accel.Instance, err error) {
+	m.Domain.Deploy(w, im, func(in *accel.Instance, err error) {
 		inst, derr = in, err
 	})
-	if m.Grp != nil {
-		m.Grp.RunUntilIdle()
-	} else {
-		m.Eng.RunUntilIdle()
-	}
+	m.Eng.RunUntilIdle()
 	if derr != nil {
 		return nil, derr
 	}
@@ -768,51 +476,17 @@ func (m *Machine) DeployKernel(src string, dir hls.Directives, w int) (*accel.In
 	return inst, nil
 }
 
-// Report summarizes a run for humans. On a sharded machine the per-shard
-// registries, meters and domains fold into one machine-wide view.
+// Report summarizes a run for humans.
 func (m *Machine) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "machine %s: %d workers, %d compute nodes",
+	fmt.Fprintf(&b, "machine %s: %d workers, %d compute nodes\n",
 		m.Tree.Name(), m.Workers(), m.Tree.NumComputeNodes())
-	if m.Grp != nil {
-		fmt.Fprintf(&b, ", %d shards", m.Grp.Shards())
-	}
-	b.WriteByte('\n')
 	fmt.Fprintf(&b, "simulated time: %v, events: %d\n", m.Now(), m.EventsRun())
-	if m.Grp == nil {
-		fmt.Fprintf(&b, "energy: %v total (mean power %.2f W)\n", m.Meter.Total(), float64(m.Meter.MeanPower()))
-		for _, bd := range m.Meter.Breakdown() {
-			fmt.Fprintf(&b, "  %-14s %v\n", bd.Category, bd.Energy)
-		}
-	} else {
-		var etot energy.Joules
-		cats := map[string]energy.Joules{}
-		for _, mt := range m.meters {
-			etot += mt.Total()
-			for _, bd := range mt.Breakdown() {
-				cats[bd.Category] += bd.Energy
-			}
-		}
-		var catOrder []string
-		for cat := range cats {
-			catOrder = append(catOrder, cat)
-		}
-		sort.Strings(catOrder)
-		var meanPower float64
-		if now := m.Now(); now > 0 {
-			meanPower = float64(etot) / now.Seconds()
-		}
-		fmt.Fprintf(&b, "energy: %v total (mean power %.2f W)\n", etot, meanPower)
-		for _, cat := range catOrder {
-			fmt.Fprintf(&b, "  %-14s %v\n", cat, cats[cat])
-		}
+	fmt.Fprintf(&b, "energy: %v total (mean power %.2f W)\n", m.Meter.Total(), float64(m.Meter.MeanPower()))
+	for _, bd := range m.Meter.Breakdown() {
+		fmt.Fprintf(&b, "  %-14s %v\n", bd.Category, bd.Energy)
 	}
-	var total, remote uint64
-	m.eachDomain(func(d *unilogic.Domain) {
-		t, r := d.Calls()
-		total += t
-		remote += r
-	})
+	total, remote := m.Domain.Calls()
 	fmt.Fprintf(&b, "accelerator calls: %d (%d remote)\n", total, remote)
 	var cpu, hw uint64
 	m.EachSched(func(s *rts.Scheduler) {
@@ -870,20 +544,18 @@ func (m *Machine) utilizationBreakdown() string {
 		group{"hw window", hws},
 		group{"config port", ports})
 	var pipes []float64
-	m.eachDomain(func(d *unilogic.Domain) {
-		for _, k := range d.Kernels() {
-			for _, in := range d.Instances(k) {
-				pipes = append(pipes, in.PipeUtilization(now))
-			}
+	for _, k := range m.Domain.Kernels() {
+		for _, in := range m.Domain.Instances(k) {
+			pipes = append(pipes, in.PipeUtilization(now))
 		}
-	})
+	}
 	if len(pipes) > 0 {
 		groups = append(groups, group{"accel pipes", pipes})
 	}
 	// LinkStats is level-sorted, so levels appear in ascending order.
 	byLevel := map[int][]float64{}
 	var levels []int
-	for _, l := range m.linkStats(now) {
+	for _, l := range m.Net.LinkStats(now) {
 		if _, ok := byLevel[l.Level]; !ok {
 			levels = append(levels, l.Level)
 		}
@@ -928,7 +600,7 @@ func (m *Machine) latencyBreakdown() string {
 		{"compute (hw)", "lat.compute_hw_us"},
 		{"task total", "lat.task_us"},
 	}
-	reg := m.mergedReg()
+	reg := m.Reg
 	var b strings.Builder
 	any := false
 	for _, st := range stages {

@@ -93,43 +93,16 @@ func scenE2() runner.Scenario {
 						const perWorker = 1000
 						taskDur := 500 * sim.Nanosecond
 						// Each worker executes its local queue (4 cores): model as 4-way
-						// resource per worker. Workers are independent, so the makespan
-						// and completion count — everything the table prints — are
-						// invariant under the shard count.
-						var end sim.Time
-						var finished int
-						if Shards > 1 {
-							k := Shards
-							if k > workers {
-								k = workers
+						// resource per worker.
+						eng := sim.NewEngine(1)
+						finished := 0
+						for w := 0; w < workers; w++ {
+							cores := sim.NewResource(eng, fmt.Sprintf("c%d", w), 4)
+							for t := 0; t < perWorker; t++ {
+								cores.Use(taskDur, func() { finished++ })
 							}
-							g := sim.NewGroup(1, 60*sim.Nanosecond, sim.BlockPartition(workers, k))
-							counts := make([]int, workers) // per-worker: shards may run concurrently
-							for w := 0; w < workers; w++ {
-								w := w
-								eng := g.EngineFor(int32(w))
-								eng.SetupLP(int32(w))
-								cores := sim.NewResource(eng, fmt.Sprintf("c%d", w), 4)
-								for t := 0; t < perWorker; t++ {
-									cores.Use(taskDur, func() { counts[w]++ })
-								}
-							}
-							end = g.RunUntilIdle()
-							for _, c := range counts {
-								finished += c
-							}
-						} else {
-							eng := sim.NewEngine(1)
-							net := noc.NewNetwork(eng, tree, noc.DefaultConfig(tree.MaxHops()), nil, nil)
-							_ = net
-							for w := 0; w < workers; w++ {
-								cores := sim.NewResource(eng, fmt.Sprintf("c%d", w), 4)
-								for t := 0; t < perWorker; t++ {
-									cores.Use(taskDur, func() { finished++ })
-								}
-							}
-							end = eng.RunUntilIdle()
 						}
+						end := eng.RunUntilIdle()
 						total := workers * perWorker
 						if finished != total {
 							return runner.Row{}, fmt.Errorf("E2: lost tasks: %d of %d", finished, total)

@@ -21,18 +21,6 @@ import (
 // sample.
 var Quick bool
 
-// Shards selects the intra-machine shard count for the scenarios that
-// build sharded simulations (E2's weak-scaling engines, E17's sharded
-// machine). Their tables are shard-count-invariant: any value >= 1
-// produces byte-identical output, which the CI determinism lane checks
-// by diffing full ecobench runs at -shards 1, 2 and 8. Zero (the
-// default) keeps the classic single-engine construction.
-//
-// Shards is deliberately NOT part of the result-cache key: because
-// tables are shard-invariant, a cache warmed at one shard count may
-// legitimately serve runs at another.
-var Shards int
-
 // Every Row.Value type that rides through the result cache must be
 // gob-registered so a decoded row's Value survives the Finalize type
 // assertion. New experiments that add a Value type must add it here.
@@ -48,8 +36,8 @@ func init() {
 // Registry returns all experiment scenarios in order.
 //
 // Every scenario is marked Cacheable here rather than in each literal:
-// the whole suite is deterministic by construction (the CI determinism
-// lane diffs full runs at -parallel and -shards settings), so a point's
+// the whole suite is deterministic by construction (ecobench's golden
+// test pins the full output in docs/ecobench_output.txt), so a point's
 // rows are a pure function of (scenario ID, point key, kernel version)
 // and safe to memoize in the content-addressed store. The one
 // label-invisible input — R1's Quick-trimmed task total — is folded
@@ -59,7 +47,7 @@ func Registry() []runner.Scenario {
 	scens := []runner.Scenario{
 		scenE1(), scenE2(), scenE3(), scenE4(), scenE5(), scenE6(),
 		scenE7(), scenE8(), scenE9(), scenE10(), scenE11(), scenE12(),
-		scenE13(), scenE14(), scenE15(), scenE16(), scenE17(),
+		scenE13(), scenE14(), scenE15(), scenE16(),
 		scenA1(), scenA2(), scenA3(), scenA4(), scenA5(),
 		scenR1(), scenR2(), scenR3(), scenR4(),
 	}

@@ -77,22 +77,22 @@ func dur(t *testing.T, s string) float64 {
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 26 {
-		t.Fatalf("registry has %d experiments, want 26 (E1-E17 + A1-A5 + R1-R4)", len(reg))
+	if len(reg) != 25 {
+		t.Fatalf("registry has %d experiments, want 25 (E1-E16 + A1-A5 + R1-R4)", len(reg))
 	}
-	for i, e := range reg[:17] {
+	for i, e := range reg[:16] {
 		want := "E" + strconv.Itoa(i+1)
 		if e.ID != want {
 			t.Errorf("experiment %d id %q, want %q", i, e.ID, want)
 		}
 	}
-	for i, e := range reg[17:22] {
+	for i, e := range reg[16:21] {
 		want := "A" + strconv.Itoa(i+1)
 		if e.ID != want {
 			t.Errorf("ablation %d id %q, want %q", i, e.ID, want)
 		}
 	}
-	for i, e := range reg[22:] {
+	for i, e := range reg[21:] {
 		want := "R" + strconv.Itoa(i+1)
 		if e.ID != want {
 			t.Errorf("resilience scenario %d id %q, want %q", i, e.ID, want)
@@ -478,45 +478,6 @@ func TestE16Shape(t *testing.T) {
 		// DMA cost is density-independent.
 		if tbl.Rows[i][3] != tbl.Rows[0][3] {
 			t.Errorf("row %d: DMA time should not vary", i)
-		}
-	}
-}
-
-func TestE17Shape(t *testing.T) {
-	tbl := runExp(t, "E17")
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("E17 has %d rows, want 4", len(tbl.Rows))
-	}
-	prevW := 0.0
-	for i := range tbl.Rows {
-		w := cell(t, tbl, tbl.Rows, i, 0)
-		if w <= prevW {
-			t.Errorf("row %d: workers not growing", i)
-		}
-		prevW = w
-		if remote := cell(t, tbl, tbl.Rows, i, 3); remote == 0 {
-			t.Errorf("row %d: no remote UNIMEM reads — cross-node traffic missing", i)
-		}
-		if ev := cell(t, tbl, tbl.Rows, i, 4); ev == 0 {
-			t.Errorf("row %d: zero events", i)
-		}
-	}
-}
-
-// TestShardInvariantTables is the in-repo version of the CI determinism
-// lane: the scenarios that honor the Shards knob must render
-// byte-identical tables at every shard count.
-func TestShardInvariantTables(t *testing.T) {
-	defer func(old int) { Shards = old }(Shards)
-	for _, id := range []string{"E2", "E17"} {
-		Shards = 1
-		want := runExp(t, id).String()
-		for _, k := range []int{2, 8} {
-			Shards = k
-			if got := runExp(t, id).String(); got != want {
-				t.Errorf("%s table diverged at %d shards:\n--- 1 shard ---\n%s\n--- %d shards ---\n%s",
-					id, k, want, k, got)
-			}
 		}
 	}
 }

@@ -130,12 +130,6 @@ type Network struct {
 	rtFree   *rtOp
 	dmaFree  *dmaOp
 	lsFree   *lsOp
-
-	// Sharded-mode identity (zero on legacy single-engine networks); set
-	// by ShardNetworks. peers[i] is the instance running on shard i.
-	grp   *sim.Group
-	shard int32
-	peers []*Network
 }
 
 type linkKey struct {
@@ -354,9 +348,6 @@ func (n *Network) SendCall(src, dst, size int, kind Kind, fn func(any), arg any)
 }
 
 func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any), darg any) {
-	if n.grp != nil {
-		n.checkIssuer(src)
-	}
 	n.count(kind, src, dst, size)
 	if src == dst {
 		if dfn != nil {
@@ -364,12 +355,6 @@ func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any)
 		} else if done != nil {
 			done()
 		}
-		return
-	}
-	if n.grp != nil && n.lpOfWorker(src) != n.lpOfWorker(dst) {
-		// Cross-Compute-Node on a sharded network: the message may change
-		// owning LP mid-walk, so it takes the instance-migrating path.
-		n.sendSharded(src, dst, size, kind, done, dfn, darg)
 		return
 	}
 	op := n.getSendOp()
@@ -396,18 +381,6 @@ func (n *Network) FlapLink(w, level int, down sim.Time) bool {
 		return false
 	}
 	group := n.tree.GroupOf(level, w)
-	if n.grp != nil {
-		// Link arbitration state lives on the owner LP's shard; flapping
-		// from anywhere else would race. Fault injectors post to
-		// LinkOwnerLP(w, level) and call this on ForLP of that LP.
-		lp := n.linkOwnerLP(level, group)
-		if !n.grp.Running() {
-			n.eng.SetupLP(lp)
-		} else if n.eng.CurLP() != lp || n.grp.ShardOf(lp) != n.shard {
-			panic(fmt.Sprintf("noc: FlapLink for link (level %d, group %d, LP %d) issued on LP %d shard %d",
-				level, group, lp, n.eng.CurLP(), n.shard))
-		}
-	}
 	for dir := 0; dir < 2; dir++ {
 		r := n.link(level, group, dir)
 		for i := 0; i < r.Capacity(); i++ {
@@ -439,13 +412,6 @@ func rtRespond(a any) {
 // reqSize-byte request from src to dst followed by a respSize-byte
 // response back, calling done when the response arrives.
 func (n *Network) RoundTrip(src, dst, reqSize, respSize int, kind Kind, done func()) {
-	if n.grp != nil && n.lpOfWorker(src) != n.lpOfWorker(dst) {
-		// Cross-CN: the response issues at the destination LP, on the
-		// destination's own instance; the op crosses shards, so no pooling.
-		rt := &shardRT{n: n, src: src, dst: dst, respSize: respSize, kind: kind, done: done}
-		n.SendCall(src, dst, reqSize, kind, shardRTRespond, rt)
-		return
-	}
 	op := n.rtFree
 	if op != nil {
 		n.rtFree = op.next
@@ -553,15 +519,6 @@ func (n *Network) DMATransfer(src, dst, size int, cfg DMAConfig, done func()) {
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 4096
 	}
-	if n.grp != nil && n.lpOfWorker(src) != n.lpOfWorker(dst) {
-		// Cross-CN: chunk credits return from the destination as
-		// lookahead-priced posts; the op crosses shards, so no pooling.
-		n.checkIssuer(src)
-		op := &shardDMA{n: n, src: src, dst: dst, srcLP: n.lpOfWorker(src),
-			remaining: size, cfg: cfg, done: done}
-		n.eng.AfterCall(cfg.Setup, shardDMANext, op)
-		return
-	}
 	op := n.dmaFree
 	if op != nil {
 		n.dmaFree = op.next
@@ -627,18 +584,6 @@ func (n *Network) LoadStoreTransfer(src, dst, size, window int, done func()) {
 	lines := (size + line - 1) / line
 	if lines == 0 {
 		lines = 1
-	}
-	if n.grp != nil && n.lpOfWorker(src) != n.lpOfWorker(dst) {
-		// Cross-CN: the line window gates issue at the source; each line's
-		// landing acks back across the lookahead. No pooling (see above).
-		n.checkIssuer(src)
-		op := &shardLS{n: n, src: src, dst: dst, srcLP: n.lpOfWorker(src),
-			size: size, lines: lines, done: done,
-			window: sim.NewResource(n.eng, "ls-window", window)}
-		for i := 0; i < lines; i++ {
-			op.window.AcquireCall(shardLSIssue, op)
-		}
-		return
 	}
 	op := n.lsFree
 	if op != nil {

@@ -33,12 +33,8 @@ type Daemon struct {
 	// Wired by the fault layer; nil means every Worker is a candidate.
 	Live func(w int) bool
 
-	prov SchedulerProvider
-	eng  *sim.Engine
-	// [lo, hi) is the worker range this daemon governs — the whole
-	// machine by default, one Compute Node per daemon on a sharded
-	// machine (matching the per-CN reconfiguration domain).
-	lo, hi  int
+	prov    SchedulerProvider
+	eng     *sim.Engine
 	Deploys uint64
 	running bool
 }
@@ -55,17 +51,8 @@ func NewDaemonFrom(domain *unilogic.Domain, prov SchedulerProvider, eng *sim.Eng
 	return &Daemon{
 		Domain: domain, Library: map[string]*hls.Impl{},
 		Period: 100 * sim.Microsecond, MaxPerTick: 1,
-		prov: prov, eng: eng, lo: 0, hi: prov.NumWorkers(),
+		prov: prov, eng: eng,
 	}
-}
-
-// Scope restricts the daemon to workers [lo, hi): only their histories
-// are read and only they receive deployments.
-func (d *Daemon) Scope(lo, hi int) {
-	if lo < 0 || hi > d.prov.NumWorkers() || lo >= hi {
-		panic("rts: bad daemon scope")
-	}
-	d.lo, d.hi = lo, hi
 }
 
 // Register adds an implementation to the loadable library.
@@ -102,7 +89,7 @@ func (d *Daemon) Tick() int {
 		}
 		var total sim.Time
 		// Unmaterialized Workers have empty histories and contribute 0.
-		for w := d.lo; w < d.hi; w++ {
+		for w := 0; w < d.prov.NumWorkers(); w++ {
 			if s := d.prov.PeekSched(w); s != nil {
 				total += s.History.TotalTime(name)
 			}
@@ -149,7 +136,7 @@ func (d *Daemon) Tick() int {
 // domain's peek-friendly accessor.
 func (d *Daemon) coolestWorker() int {
 	best, bestFree := -1, -1
-	for w := d.lo; w < d.hi; w++ {
+	for w := 0; w < d.prov.NumWorkers(); w++ {
 		if d.Live != nil && !d.Live(w) {
 			continue
 		}

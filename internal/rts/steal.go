@@ -78,11 +78,6 @@ type Cluster struct {
 	net       *noc.Network
 	eng       *sim.Engine
 	ctrlBytes int
-	// [lo, hi) is the worker range this balancer governs — the whole
-	// machine by default, one Compute Node per cluster on a sharded
-	// machine, where stealing stays CN-local so victim and thief always
-	// share a logical process.
-	lo, hi int
 	// Lazy-probe state lives in maps keyed by thief Worker, so 100k idle
 	// Workers that never steal cost nothing. A missing nextProbe entry
 	// reads as cursor 0 and a missing lastVictim entry as -1 — exactly
@@ -110,17 +105,8 @@ func NewCluster(kind BalanceKind, scheds []*Scheduler, net *noc.Network) *Cluste
 func NewClusterFrom(kind BalanceKind, prov SchedulerProvider, net *noc.Network) *Cluster {
 	return &Cluster{
 		Kind: kind, prov: prov, net: net, eng: net.Engine(),
-		ctrlBytes: 16, lo: 0, hi: prov.NumWorkers(),
+		ctrlBytes: 16,
 	}
-}
-
-// Scope restricts the balancer to workers [lo, hi): only they are polled,
-// probed, or stolen from. Tasks may still be submitted to any worker.
-func (c *Cluster) Scope(lo, hi int) {
-	if lo < 0 || hi > c.prov.NumWorkers() || lo >= hi {
-		panic("rts: bad cluster scope")
-	}
-	c.lo, c.hi = lo, hi
 }
 
 // Attach hooks a scheduler's idle callback to the balancer. It is a
@@ -160,7 +146,7 @@ func (c *Cluster) onIdle(s *Scheduler) {
 // pollAll queries every other Worker's queue depth, then steals from the
 // deepest.
 func (c *Cluster) pollAll(thief *Scheduler) {
-	n := c.hi - c.lo
+	n := c.prov.NumWorkers()
 	if n < 2 {
 		return
 	}
@@ -170,7 +156,7 @@ func (c *Cluster) pollAll(thief *Scheduler) {
 		Start: int64(c.eng.Now()), End: int64(c.eng.Now()),
 		PID: trace.WorkerPID(thief.Worker), TID: trace.TIDCPU, Arg: int64(n - 1)})
 	wg := sim.NewWaitGroup(c.eng, n-1)
-	for w := c.lo; w < c.hi; w++ {
+	for w := 0; w < n; w++ {
 		if w == thief.Worker {
 			continue
 		}
@@ -208,7 +194,7 @@ func (c *Cluster) pollAll(thief *Scheduler) {
 // O(P) messages on every idle event.
 func (c *Cluster) probeOne(thief *Scheduler) {
 	attempts := 4
-	if n := c.hi - c.lo - 1; attempts > n {
+	if n := c.prov.NumWorkers() - 1; attempts > n {
 		attempts = n
 	}
 	c.probeNext(thief, attempts)
@@ -230,23 +216,23 @@ func (c *Cluster) setLastVictim(w, v int) {
 }
 
 func (c *Cluster) probeNext(thief *Scheduler, attempts int) {
-	n := c.hi - c.lo
+	n := c.prov.NumWorkers()
 	if n < 2 || attempts <= 0 {
 		return
 	}
 	// Prefer the last Worker that had surplus work; fall back to the
-	// round-robin ring over the scoped range.
+	// round-robin ring over all Workers.
 	victim := c.lastVictimOf(thief.Worker)
 	if victim < 0 || victim == thief.Worker {
 		v := c.nextProbe[thief.Worker]
-		victim = c.lo + v%n
+		victim = v % n
 		if victim == thief.Worker {
-			victim = c.lo + (v+1)%n
+			victim = (v + 1) % n
 		}
 		if c.nextProbe == nil {
 			c.nextProbe = map[int]int{}
 		}
-		c.nextProbe[thief.Worker] = victim - c.lo + 1
+		c.nextProbe[thief.Worker] = victim + 1
 	}
 	c.StealMsgs += 2
 	c.Trace.Add(trace.Span{Name: "probe", Cat: trace.CatSteal,
@@ -294,7 +280,7 @@ func (c *Cluster) transfer(victim, thief *Scheduler) {
 // Workers have executed nothing by definition.
 func (c *Cluster) TotalExecuted() uint64 {
 	var n uint64
-	for w := c.lo; w < c.hi; w++ {
+	for w := 0; w < c.prov.NumWorkers(); w++ {
 		if s := c.prov.PeekSched(w); s != nil {
 			n += s.Executed(DeviceCPU) + s.Executed(DeviceHW)
 		}

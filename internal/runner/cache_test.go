@@ -75,7 +75,7 @@ func TestCacheWarmByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Parallel: 4, Metrics: reg, Cache: store, CacheVersion: "test/1"}
+	opts := Options{Parallel: 4, Metrics: trace.NewRegistry(), Cache: store, CacheVersion: "test/1"}
 	coldTbl, err := Run(context.Background(), countingScenario("X1", labels, &simsCached, 0), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -84,22 +84,15 @@ type eventSlot struct {
 	afn func(any)
 	arg any
 	gen uint32
-	lp  int32 // owning logical process when the engine is in a Group; 0 otherwise
 }
 
-// heapEntry is one priority-queue element. The ordering key (at, key, seq)
-// is embedded so sift operations never chase into the arena; slot+gen
-// locate the callback and detect lazily-cancelled entries at pop time.
-//
-// key is 0 for every event of a standalone engine, which makes the order
-// exactly the historical (at, seq) insertion-sequence tie-break. Engines
-// that belong to a shard Group instead derive key and seq from the logical
-// process (LP) the event belongs to — see shard.go — so that the order is
-// a function of the simulated causality graph, not of how LPs happen to be
-// partitioned across shards.
+// heapEntry is one priority-queue element. The ordering key (at, seq) is
+// embedded so sift operations never chase into the arena; slot+gen locate
+// the callback and detect lazily-cancelled entries at pop time. Keeping
+// the entry at 24 bytes with a two-key comparison keeps push small enough
+// to inline; layout_test.go pins the size.
 type heapEntry struct {
 	at   Time
-	key  uint64
 	seq  uint64
 	slot int32
 	gen  uint32
@@ -108,9 +101,6 @@ type heapEntry struct {
 func heLess(a, b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.key != b.key {
-		return a.key < b.key
 	}
 	return a.seq < b.seq
 }
@@ -132,15 +122,6 @@ type Engine struct {
 	rng     *RNG
 
 	useFree *useOp // resource.go: pooled Use/UseCall operations
-
-	// Shard-group membership (see shard.go). grp is nil for a standalone
-	// engine, which keeps the historical global-sequence ordering; inside
-	// a Group, events are keyed by logical process so the schedule is
-	// invariant under the shard count. curLP tracks the LP of the event
-	// currently executing (or, before the run, the LP set by Group.At).
-	grp   *Group
-	shard int32
-	curLP int32
 
 	// Sampling hook (see SetSampler). sampleAt is Forever when no
 	// sampler is installed, so the disabled cost is one comparison in
@@ -174,39 +155,6 @@ func (e *Engine) SetSampler(nextAt Time, fn func(now Time) Time) {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// CurLP returns the logical process the currently executing event belongs
-// to. It is 0 for a standalone engine; inside a Group it identifies which
-// LP's causal chain is running, and is what Post uses as the message
-// source.
-func (e *Engine) CurLP() int32 { return e.curLP }
-
-// Group returns the shard group this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Group() *Group { return e.grp }
-
-// NextAt returns the time of the earliest live pending event, or Forever
-// when none remain.
-func (e *Engine) NextAt() Time {
-	e.prune()
-	if len(e.heap) == 0 {
-		return Forever
-	}
-	return e.heap[0].at
-}
-
-// runWindow fires every pending event strictly before bound. Unlike Run,
-// the bound is exclusive and the clock is not advanced past the last fired
-// event: the Group's window loop owns clock normalization.
-func (e *Engine) runWindow(bound Time) {
-	for {
-		e.prune()
-		if len(e.heap) == 0 || e.heap[0].at >= bound {
-			return
-		}
-		e.fire()
-	}
-}
 
 // RNG returns the engine's deterministic random source.
 func (e *Engine) RNG() *RNG { return e.rng }
@@ -247,22 +195,8 @@ func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) EventID {
 	idx := e.alloc()
 	s := &e.arena[idx]
 	s.fn, s.afn, s.arg = fn, afn, arg
-	var key, seq uint64
-	if g := e.grp; g != nil {
-		// Grouped engine: the new event belongs to the LP that is
-		// scheduling it, and is ordered by that LP's private sequence.
-		// Both are properties of the causal chain that created the
-		// event, so they do not depend on how LPs map to shards.
-		lp := e.curLP
-		s.lp = lp
-		key = localKey(lp)
-		seq = g.lpSeqs[lp]
-		g.lpSeqs[lp]++
-	} else {
-		seq = e.seq
-		e.seq++
-	}
-	e.push(heapEntry{at: at, key: key, seq: seq, slot: idx, gen: s.gen})
+	e.push(heapEntry{at: at, seq: e.seq, slot: idx, gen: s.gen})
+	e.seq++
 	e.live++
 	return EventID{idx: idx, gen: s.gen}
 }
@@ -380,7 +314,6 @@ func (e *Engine) fire() {
 	he := e.pop()
 	s := &e.arena[he.slot]
 	fn, afn, arg := s.fn, s.afn, s.arg
-	e.curLP = s.lp
 	e.freeSlot(he.slot)
 	e.live--
 	if he.at < e.now {

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Census tracks which Workers of a Tree are live — have had per-worker
 // state materialized by some event — and aggregates liveness up the
@@ -12,27 +9,22 @@ import (
 // stays a single summary record, and aggregate queries answer for it in
 // O(1) without waking anything. A few bytes per worker plus one counter
 // per group keeps the census itself cheap at 100k+ workers.
-//
-// All counters are atomic so a sharded machine, whose Workers
-// materialize concurrently on different shard goroutines, can share one
-// census. A worker's live flag is only ever set from the shard that owns
-// it; the aggregate counters take concurrent increments from all shards.
 type Census struct {
 	tree *Tree
-	live []atomic.Bool
+	live []bool
 	// counts[level][group] = live workers under the level-level unit
 	// `group`, for levels 1..Levels()-1 (level 0 is the worker itself,
 	// answered by the live slice).
-	counts [][]atomic.Int64
-	total  atomic.Int64
+	counts [][]int
+	total  int
 }
 
 // NewCensus returns an all-quiescent census over the tree.
 func NewCensus(t *Tree) *Census {
-	c := &Census{tree: t, live: make([]atomic.Bool, t.NumWorkers())}
-	c.counts = make([][]atomic.Int64, t.Levels())
+	c := &Census{tree: t, live: make([]bool, t.NumWorkers())}
+	c.counts = make([][]int, t.Levels())
 	for level := 1; level < t.Levels(); level++ {
-		c.counts[level] = make([]atomic.Int64, t.NumWorkers()/t.GroupSize(level))
+		c.counts[level] = make([]int, t.NumWorkers()/t.GroupSize(level))
 	}
 	return c
 }
@@ -41,12 +33,13 @@ func NewCensus(t *Tree) *Census {
 // count. It reports whether w was newly marked (false when already live).
 func (c *Census) MarkLive(w int) bool {
 	c.tree.checkWorker(w)
-	if !c.live[w].CompareAndSwap(false, true) {
+	if c.live[w] {
 		return false
 	}
-	c.total.Add(1)
+	c.live[w] = true
+	c.total++
 	for level := 1; level < c.tree.Levels(); level++ {
-		c.counts[level][c.tree.GroupOf(level, w)].Add(1)
+		c.counts[level][c.tree.GroupOf(level, w)]++
 	}
 	return true
 }
@@ -54,11 +47,11 @@ func (c *Census) MarkLive(w int) bool {
 // IsLive reports whether worker w has been marked live.
 func (c *Census) IsLive(w int) bool {
 	c.tree.checkWorker(w)
-	return c.live[w].Load()
+	return c.live[w]
 }
 
 // LiveWorkers returns how many workers are live machine-wide.
-func (c *Census) LiveWorkers() int { return int(c.total.Load()) }
+func (c *Census) LiveWorkers() int { return c.total }
 
 // LiveIn returns how many workers are live under the level-level unit
 // with index group.
@@ -66,7 +59,7 @@ func (c *Census) LiveIn(level, group int) int {
 	if level <= 0 || level >= c.tree.Levels() {
 		panic(fmt.Sprintf("topo: census level %d out of range (1..%d)", level, c.tree.Levels()-1))
 	}
-	return int(c.counts[level][group].Load())
+	return c.counts[level][group]
 }
 
 // Quiescent reports whether the level-level unit with index group has no

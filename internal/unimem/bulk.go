@@ -63,7 +63,7 @@ func (s *Space) StreamRead(node int, addr uint64, size, window int, done func(da
 	if window <= 0 {
 		window = 1
 	}
-	eng := s.engFor(node)
+	eng := s.Engine()
 	start := eng.Now()
 	spans := s.splitSpan(addr, size, mem.LineBytes)
 	buf := make([]byte, size)
@@ -91,16 +91,13 @@ func (s *Space) StreamRead(node int, addr uint64, size, window int, done func(da
 // observeStream records one completed stream as a DMA span and a
 // latency-histogram sample.
 func (s *Space) observeStream(node int, name string, start sim.Time, size int) {
-	now := s.engFor(node).Now()
-	if !s.net.Sharded() {
-		// The shared tracer is not shard-safe (see observeCoh).
-		s.Trace.Add(trace.Span{Name: name, Cat: trace.CatDMA,
-			Start: int64(start), End: int64(now),
-			PID: trace.WorkerPID(node), TID: trace.TIDDMA, Arg: int64(size)})
-	}
-	if r := s.regFor(node); r != nil {
-		trace.LatencyHistogram(r, "lat.dma_us").Observe((now - start).Micros())
-		r.Counter("unimem.stream_bytes").Add(uint64(size))
+	now := s.Engine().Now()
+	s.Trace.Add(trace.Span{Name: name, Cat: trace.CatDMA,
+		Start: int64(start), End: int64(now),
+		PID: trace.WorkerPID(node), TID: trace.TIDDMA, Arg: int64(size)})
+	if s.reg != nil {
+		trace.LatencyHistogram(s.reg, "lat.dma_us").Observe((now - start).Micros())
+		s.reg.Counter("unimem.stream_bytes").Add(uint64(size))
 	}
 }
 
@@ -116,7 +113,7 @@ func (s *Space) StreamWrite(node int, addr uint64, data []byte, window int, done
 	if window <= 0 {
 		window = 1
 	}
-	eng := s.engFor(node)
+	eng := s.Engine()
 	start := eng.Now()
 	spans := s.splitSpan(addr, len(data), mem.LineBytes)
 	wg := sim.NewWaitGroup(eng, len(spans))
@@ -140,8 +137,8 @@ func (s *Space) StreamWrite(node int, addr uint64, data []byte, window int, done
 }
 
 // StreamWriteback is StreamWrite for an identity write-back: the same
-// pipelined store traffic, but the bytes are never read or copied — see
-// Space.WriteBack for why sharded machines require this.
+// pipelined store traffic, but the bytes are never read or copied (see
+// Space.WriteBack).
 func (s *Space) StreamWriteback(node int, addr uint64, size, window int, done func()) {
 	if size <= 0 {
 		if done != nil {
@@ -152,7 +149,7 @@ func (s *Space) StreamWriteback(node int, addr uint64, size, window int, done fu
 	if window <= 0 {
 		window = 1
 	}
-	eng := s.engFor(node)
+	eng := s.Engine()
 	start := eng.Now()
 	spans := s.splitSpan(addr, size, mem.LineBytes)
 	wg := sim.NewWaitGroup(eng, len(spans))

@@ -65,9 +65,6 @@ func (s *Space) EvacuateWorker(from, to int, done func(pages int, bytes int64)) 
 // DMA source may be a replica holder rather than the (possibly dead) old
 // owner, and a replica already in the destination's DRAM is promoted in
 // place — one local DRAM write, no wire traffic.
-// On a sharded machine, evacuatePage (and so EvacuateWorker) must run at
-// the dying worker's LP — the DMA source side; finish lands at the
-// destination's LP.
 func (s *Space) evacuatePage(pageNo uint64, to int, done func()) {
 	p := s.pages[pageNo]
 	addr := pageNo * uint64(s.cfg.PageBytes)
@@ -87,11 +84,10 @@ func (s *Space) evacuatePage(pageNo uint64, to int, done func()) {
 		}
 	}
 	old := p.Owner()
-	s.countAt(old, "evacuations")
-	start := s.engFor(old).Now()
+	s.count("evacuations")
+	start := s.Engine().Now()
 	finish := func() {
-		p.setOwner(to)
-		p.setCacher(to)
+		p.setHome(to)
 		// The destination's DRAM copy subsumes any replica it held.
 		if s.reps != nil {
 			if r, ok := s.reps[pageNo]; ok {
@@ -100,24 +96,18 @@ func (s *Space) evacuatePage(pageNo uint64, to int, done func()) {
 		}
 		s.observeCoh(to, "evacuate", start, int64(s.cfg.PageBytes))
 		if done != nil {
-			// The evacuation loop issues the next page's DMA from the
-			// dying worker's side: hand control back to its LP.
-			s.netFor(to).HopToWorker(old, done)
+			done()
 		}
 	}
 	// Flush any live third-party cacher toward the old owner first, like
 	// MigratePage — the caching right must be whole before it moves.
 	s.SetCacher(addr, old, func() {
 		if src == to {
-			s.netFor(old).HopToWorker(to, func() {
-				s.wm(to).dram.Access(s.cfg.PageBytes, finish)
-			})
+			s.wm(to).dram.Access(s.cfg.PageBytes, finish)
 			return
 		}
-		s.netFor(src).DMATransfer(src, to, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
-			s.netFor(src).HopToWorker(to, func() {
-				s.wm(to).dram.Access(s.cfg.PageBytes, finish)
-			})
+		s.net.DMATransfer(src, to, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
+			s.wm(to).dram.Access(s.cfg.PageBytes, finish)
 		})
 	})
 }

@@ -39,11 +39,6 @@ func (s *Space) replicaOf(pageNo uint64) *replicaState {
 // transfer), after which reads by w are local. Replicating at the owner
 // is a no-op. done fires when the copy is usable.
 func (s *Space) Replicate(addr uint64, w int, done func()) {
-	if s.net.Sharded() {
-		// Replicas put page bytes under multiple LPs; the sharded data
-		// plane keeps them owner-exclusive instead.
-		panic("unimem: page replication is not supported on a sharded machine")
-	}
 	p := s.pageOf(addr)
 	if w < 0 || w >= len(s.workers) {
 		panic(fmt.Sprintf("unimem: bad replica holder %d", w))
@@ -56,7 +51,7 @@ func (s *Space) Replicate(addr uint64, w int, done func()) {
 		}
 		return
 	}
-	s.countAt(p.Owner(), "replications")
+	s.count("replications")
 	s.net.DMATransfer(p.Owner(), w, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
 		s.wm(w).dram.Access(s.cfg.PageBytes, func() {
 			r.holders[w] = true
@@ -134,7 +129,7 @@ func (s *Space) dropReplicas(node int, addr uint64, done func()) {
 		return
 	}
 	holders := sortedHolders(r.holders)
-	s.countAt(node, "replica_invalidations")
+	s.count("replica_invalidations")
 	wg := sim.NewWaitGroup(s.Engine(), len(holders))
 	for _, h := range holders {
 		h := h
@@ -169,11 +164,11 @@ func (s *Space) ReplicatedRead(node int, addr uint64, size int, done func(data [
 		}
 	}
 	if src == node {
-		s.countAt(node, "replica_local_reads")
+		s.count("replica_local_reads")
 		s.wm(node).dram.Access(size, deliver)
 		return
 	}
-	s.countAt(node, "replica_remote_reads")
+	s.count("replica_remote_reads")
 	s.net.Send(node, src, s.cfg.CtrlBytes, noc.Load, func() {
 		s.wm(src).dram.Access(size, func() {
 			s.net.Send(src, node, size, noc.Load, deliver)

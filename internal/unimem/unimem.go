@@ -26,7 +26,6 @@ package unimem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"ecoscale/internal/mem"
 	"ecoscale/internal/noc"
@@ -56,24 +55,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// page metadata is atomically accessed: on a sharded machine, ownership
-// flips at the new owner's LP (a migration landing) while other shards
-// read it to route requests. The page *bytes* need no synchronization —
-// only the current owner's LP touches them, and ownership hand-offs are
-// separated from both sides' accesses by more than the group lookahead,
-// so the window barrier orders them.
 type page struct {
-	owner  atomic.Int32
-	cacher atomic.Int32
+	owner  int32
+	cacher int32
 	data   []byte
 }
 
-func (p *page) Owner() int     { return int(p.owner.Load()) }
-func (p *page) Cacher() int    { return int(p.cacher.Load()) }
-func (p *page) setOwner(w int) { p.owner.Store(int32(w)) }
-func (p *page) setCacher(w int) {
-	p.cacher.Store(int32(w))
-}
+func (p *page) Owner() int  { return int(p.owner) }
+func (p *page) Cacher() int { return int(p.cacher) }
+
+// setHome makes w both the owner and the cacher of the page.
+func (p *page) setHome(w int) { p.owner, p.cacher = int32(w), int32(w) }
 
 type workerMem struct {
 	cache  *mem.Cache
@@ -122,32 +114,13 @@ func NewSpace(net *noc.Network, cfg Config, reg *trace.Registry) *Space {
 	return s
 }
 
-// netFor returns the interconnect instance to issue worker w's traffic
-// on: the space's single network on a legacy machine, w's shard instance
-// on a sharded one.
-func (s *Space) netFor(w int) *noc.Network { return s.net.For(w) }
-
-// engFor returns the engine worker w's events run on.
-func (s *Space) engFor(w int) *sim.Engine { return s.net.For(w).Engine() }
-
-// regFor returns the registry worker w's counters land in: per-shard when
-// sharded (report merging sums them), the space's own otherwise.
-func (s *Space) regFor(w int) *trace.Registry {
-	if s.net.Sharded() {
-		return s.net.For(w).Reg()
-	}
-	return s.reg
-}
-
 // wm materializes worker w's memory-side state on first touch. Creation
 // schedules no events and consumes no randomness, so when a worker is
-// first touched cannot affect simulated behaviour. On a sharded machine
-// it must be called at w's LP (all callers are): the state lives on w's
-// shard engine.
+// first touched cannot affect simulated behaviour.
 func (s *Space) wm(w int) *workerMem {
 	m := s.workers[w]
 	if m == nil {
-		eng := s.engFor(w)
+		eng := s.Engine()
 		m = &workerMem{
 			cache:  mem.NewCache(s.cfg.CacheCfg),
 			dram:   mem.NewDRAM(eng, s.cfg.DRAMCfg),
@@ -177,11 +150,10 @@ func (s *Space) Cache(w int) *mem.Cache { return s.wm(w).cache }
 // DRAM returns worker w's DRAM channel.
 func (s *Space) DRAM(w int) *mem.DRAM { return s.wm(w).dram }
 
-// countAt bumps a space counter attributed to worker w (whose shard
-// registry absorbs it on a sharded machine).
-func (s *Space) countAt(w int, name string) {
-	if r := s.regFor(w); r != nil {
-		r.Counter("unimem." + name).Inc()
+// count bumps the space counter unimem.<name>.
+func (s *Space) count(name string) {
+	if s.reg != nil {
+		s.reg.Counter("unimem." + name).Inc()
 	}
 }
 
@@ -195,17 +167,11 @@ func (s *Space) Alloc(owner, size int) uint64 {
 	if size <= 0 {
 		panic("unimem: Alloc size must be positive")
 	}
-	if s.net.Running() {
-		// Sharded runs read the pages map from every shard without locks;
-		// it must be frozen before events fire.
-		panic("unimem: Alloc during a sharded run (allocate at setup)")
-	}
 	npages := (size + s.cfg.PageBytes - 1) / s.cfg.PageBytes
 	base := s.next * uint64(s.cfg.PageBytes)
 	for i := 0; i < npages; i++ {
 		p := &page{data: make([]byte, s.cfg.PageBytes)}
-		p.setOwner(owner)
-		p.setCacher(owner)
+		p.setHome(owner)
 		s.pages[s.next] = p
 		s.next++
 	}
@@ -252,11 +218,6 @@ func (s *Space) SetCacher(addr uint64, node int, done func()) {
 		}
 		return
 	}
-	if s.net.Sharded() {
-		// Sharded machines pin the caching right to the owner: a remote
-		// cacher would put the page bytes under two LPs at once.
-		panic("unimem: SetCacher to a non-owner is not supported on a sharded machine")
-	}
 	old := p.Cacher()
 	pageBase := addr / uint64(s.cfg.PageBytes) * uint64(s.cfg.PageBytes)
 	// An unmaterialized old cacher has an empty cache: nothing to flush.
@@ -264,9 +225,9 @@ func (s *Space) SetCacher(addr uint64, node int, done func()) {
 	if om := s.workers[old]; om != nil {
 		_, dirty = om.cache.InvalidateRange(pageBase, s.cfg.PageBytes)
 	}
-	s.countAt(old, "cacher_moves")
+	s.count("cacher_moves")
 	finish := func() {
-		p.setCacher(node)
+		p.cacher = int32(node)
 		if done != nil {
 			done()
 		}
@@ -297,16 +258,12 @@ func (s *Space) SetCacher(addr uint64, node int, done func()) {
 // latency-histogram sample — the UNIMEM/coherence category of the
 // profiler's critical-path attribution.
 func (s *Space) observeCoh(node int, name string, start sim.Time, bytes int64) {
-	now := s.engFor(node).Now()
-	if !s.net.Sharded() {
-		// The shared tracer is not shard-safe; sharded machines rely on
-		// the per-shard registries below instead.
-		s.Trace.Add(trace.Span{Name: name, Cat: trace.CatCoh,
-			Start: int64(start), End: int64(now),
-			PID: trace.WorkerPID(node), TID: trace.TIDDMA, Arg: bytes})
-	}
-	if r := s.regFor(node); r != nil {
-		trace.LatencyHistogram(r, "lat.coh_us").Observe((now - start).Micros())
+	now := s.Engine().Now()
+	s.Trace.Add(trace.Span{Name: name, Cat: trace.CatCoh,
+		Start: int64(start), End: int64(now),
+		PID: trace.WorkerPID(node), TID: trace.TIDDMA, Arg: bytes})
+	if s.reg != nil {
+		trace.LatencyHistogram(s.reg, "lat.coh_us").Observe((now - start).Micros())
 	}
 }
 
@@ -323,23 +280,6 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 	p := s.pageOf(addr)
 	owner := p.Owner()
 	off := addr % uint64(s.cfg.PageBytes)
-	if s.net.Sharded() && owner != node {
-		// Cross-LP load: the bytes are captured at the owner's LP — the
-		// only LP that touches page data — and travel in the response.
-		s.countAt(node, "remote_reads")
-		s.netFor(node).Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(size, func() {
-				buf := make([]byte, size)
-				copy(buf, p.data[off:])
-				s.netFor(owner).Send(owner, node, size, noc.Load, func() {
-					if done != nil {
-						done(buf)
-					}
-				})
-			})
-		})
-		return
-	}
 	w := s.wm(node)
 	deliver := func() {
 		if done != nil {
@@ -353,11 +293,11 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 		res := w.cache.Access(addr, false)
 		s.handleEviction(node, p, res)
 		if res.Hit {
-			s.countAt(node, "cache_hits")
-			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, deliver)
+			s.count("cache_hits")
+			s.Engine().After(s.cfg.CacheCfg.HitLatency, deliver)
 			return
 		}
-		s.countAt(node, "cache_fills")
+		s.count("cache_fills")
 		if owner == node {
 			w.dram.Access(mem.LineBytes, deliver)
 			return
@@ -368,10 +308,10 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 			})
 		})
 	case owner == node:
-		s.countAt(node, "local_uncached")
+		s.count("local_uncached")
 		w.dram.Access(size, deliver)
 	default:
-		s.countAt(node, "remote_reads")
+		s.count("remote_reads")
 		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
 			s.wm(owner).dram.Access(size, func() {
 				s.net.Send(owner, node, size, noc.Load, deliver)
@@ -388,24 +328,6 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 	p := s.pageOf(addr)
 	owner := p.Owner()
 	off := addr % uint64(s.cfg.PageBytes)
-	if s.net.Sharded() && owner != node {
-		// Cross-LP store: the bytes travel with the request and are
-		// applied at the owner's LP (see the page doc above) instead of
-		// at issue time.
-		s.countAt(node, "remote_writes")
-		buf := append([]byte(nil), data...)
-		s.netFor(node).Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
-			copy(p.data[off:], buf)
-			s.wm(owner).dram.Access(len(buf), func() {
-				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Store, func() {
-					if done != nil {
-						done()
-					}
-				})
-			})
-		})
-		return
-	}
 	w := s.wm(node)
 	copy(p.data[off:], data) // data plane: applied immediately (see package doc)
 	finish := func() {
@@ -418,11 +340,11 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 		res := w.cache.Access(addr, true)
 		s.handleEviction(node, p, res)
 		if res.Hit {
-			s.countAt(node, "cache_hits")
-			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, finish)
+			s.count("cache_hits")
+			s.Engine().After(s.cfg.CacheCfg.HitLatency, finish)
 			return
 		}
-		s.countAt(node, "cache_fills")
+		s.count("cache_fills")
 		if owner == node {
 			w.dram.Access(mem.LineBytes, finish)
 			return
@@ -434,10 +356,10 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 			})
 		})
 	case owner == node:
-		s.countAt(node, "local_uncached")
+		s.count("local_uncached")
 		w.dram.Access(len(data), finish)
 	default:
-		s.countAt(node, "remote_writes")
+		s.count("remote_writes")
 		// Uncached remote store: posted write + ack.
 		s.net.Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
 			s.wm(owner).dram.Access(len(data), func() {
@@ -449,26 +371,13 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 
 // WriteBack performs the timed store path of Write for size bytes at
 // addr without touching the bytes. Accelerators stream their results out
-// as an identity write-back of the page-final data; on a sharded machine
-// those bytes may only be read at the owner's LP, so the traffic, cache
-// effects and counters are modeled here while the data plane stays put.
+// as an identity write-back of the page-final data, so only the traffic,
+// cache effects and counters are modeled here; copying the bytes onto
+// themselves would change nothing.
 func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 	s.checkSpan(addr, size)
 	p := s.pageOf(addr)
 	owner := p.Owner()
-	if s.net.Sharded() && owner != node {
-		s.countAt(node, "remote_writes")
-		s.netFor(node).Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
-			s.wm(owner).dram.Access(size, func() {
-				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Store, func() {
-					if done != nil {
-						done()
-					}
-				})
-			})
-		})
-		return
-	}
 	w := s.wm(node)
 	finish := func() {
 		if done != nil {
@@ -480,11 +389,11 @@ func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 		res := w.cache.Access(addr, true)
 		s.handleEviction(node, p, res)
 		if res.Hit {
-			s.countAt(node, "cache_hits")
-			s.engFor(node).After(s.cfg.CacheCfg.HitLatency, finish)
+			s.count("cache_hits")
+			s.Engine().After(s.cfg.CacheCfg.HitLatency, finish)
 			return
 		}
-		s.countAt(node, "cache_fills")
+		s.count("cache_fills")
 		if owner == node {
 			w.dram.Access(mem.LineBytes, finish)
 			return
@@ -495,10 +404,10 @@ func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 			})
 		})
 	case owner == node:
-		s.countAt(node, "local_uncached")
+		s.count("local_uncached")
 		w.dram.Access(size, finish)
 	default:
-		s.countAt(node, "remote_writes")
+		s.count("remote_writes")
 		s.net.Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
 			s.wm(owner).dram.Access(size, func() {
 				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Store, finish)
@@ -518,13 +427,13 @@ func (s *Space) handleEviction(node int, _ *page, res mem.AccessResult) {
 	if !ok {
 		return
 	}
-	s.countAt(node, "writebacks")
+	s.count("writebacks")
 	vo := vp.Owner()
 	if vo == node {
 		s.wm(node).dram.Access(mem.LineBytes, nil)
 		return
 	}
-	s.netFor(node).Send(node, vo, mem.LineBytes, noc.Store, func() {
+	s.net.Send(node, vo, mem.LineBytes, noc.Store, func() {
 		s.wm(vo).dram.Access(mem.LineBytes, nil)
 	})
 }
@@ -584,9 +493,8 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 	s.checkSpan(addr, 8)
 	p := s.pageOf(addr)
 	owner := p.Owner()
-	// exec runs at the owner's LP in every mode: the word is read,
-	// transformed and written under the owner's atomic unit, so the data
-	// plane is already owner-side and needs no sharded variant.
+	// exec runs at the owner: the word is read, transformed and written
+	// under the owner's atomic unit.
 	exec := func() {
 		ow := s.wm(owner)
 		ow.atomic.Acquire(func() {
@@ -600,7 +508,7 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 					}
 					return
 				}
-				s.netFor(owner).Send(owner, node, s.cfg.CtrlBytes, noc.Sync, func() {
+				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Sync, func() {
 					if done != nil {
 						done(old)
 					}
@@ -608,20 +516,20 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 			})
 		})
 	}
-	s.countAt(node, "atomics")
+	s.count("atomics")
 	if node == owner {
 		exec()
 		return
 	}
-	s.netFor(node).Send(node, owner, s.cfg.CtrlBytes, noc.Sync, exec)
+	s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Sync, exec)
 }
 
 // Notify sends a small interprocessor message to dst's mailbox (the
 // "messages to synchronize remote threads" of §4.1), raising the
 // mailbox as an interrupt-class transaction.
 func (s *Space) Notify(src, dst int, payload uint64, done func()) {
-	s.countAt(src, "notifies")
-	s.netFor(src).Send(src, dst, s.cfg.CtrlBytes, noc.Interrupt, func() {
+	s.count("notifies")
+	s.net.Send(src, dst, s.cfg.CtrlBytes, noc.Interrupt, func() {
 		s.wm(dst).mbox.Push(Message{From: src, Payload: payload})
 		if done != nil {
 			done()
@@ -639,10 +547,6 @@ func (s *Space) Mailbox(w int) *sim.FIFO[Message] { return s.wm(w).mbox }
 // "move tasks and processes close to data instead of moving data around"
 // machinery's inverse — data moves when the runtime decides locality is
 // better served that way.
-// On a sharded machine, MigratePage must be issued at the old owner's LP
-// (the interconnect's issuer discipline enforces this); done runs at the
-// new owner's LP, where the landing DRAM write and the ownership flip
-// execute.
 func (s *Space) MigratePage(addr uint64, newOwner int, done func()) {
 	p := s.pageOf(addr)
 	if newOwner < 0 || newOwner >= len(s.workers) {
@@ -655,22 +559,17 @@ func (s *Space) MigratePage(addr uint64, newOwner int, done func()) {
 		return
 	}
 	origOwner := p.Owner()
-	s.countAt(origOwner, "migrations")
-	start := s.engFor(origOwner).Now()
+	s.count("migrations")
+	start := s.Engine().Now()
 	s.SetCacher(addr, origOwner, func() {
 		old := p.Owner()
-		s.netFor(old).DMATransfer(old, newOwner, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
-			// Sharded DMA completes at the source LP; hop to the new
-			// owner for the landing write and the flip.
-			s.netFor(old).HopToWorker(newOwner, func() {
-				s.wm(newOwner).dram.Access(s.cfg.PageBytes, func() {
-					p.setOwner(newOwner)
-					p.setCacher(newOwner)
-					s.observeCoh(origOwner, "migrate", start, int64(s.cfg.PageBytes))
-					if done != nil {
-						done()
-					}
-				})
+		s.net.DMATransfer(old, newOwner, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
+			s.wm(newOwner).dram.Access(s.cfg.PageBytes, func() {
+				p.setHome(newOwner)
+				s.observeCoh(origOwner, "migrate", start, int64(s.cfg.PageBytes))
+				if done != nil {
+					done()
+				}
 			})
 		})
 	})

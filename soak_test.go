@@ -361,205 +361,3 @@ func TestSoakFaultStorm(t *testing.T) {
 		t.Errorf("fault storm not deterministic: %+v vs %+v", results["storm1"], results["storm2"])
 	}
 }
-
-// soakShardRun drives the mixed-kernel soak on a machine built with k
-// engine shards (conservative NoC-lookahead sync). Completion counters
-// are per-worker because the callbacks fire concurrently, one goroutine
-// per shard; the returned aggregates are schedule-invariant, so the
-// caller can compare them across shard counts.
-func soakShardRun(k int) (sim.Time, uint64, uint64, uint64, error) {
-	cfg := ecoscale.DefaultConfig(8, 4) // 32 workers, 4 compute nodes
-	cfg.Shards = k
-	cfg.CompressedBitstreams = true
-	m := ecoscale.New(cfg)
-
-	// One kernel per Compute Node: sharded machines scope accelerator
-	// sharing to the CN, so each node gets hardware for one kernel and
-	// degrades the others to software.
-	kernels := []string{"vecadd", "reduce", "cartsplit", "montecarlo"}
-	dirs := ecoscale.Directives{Unroll: 8, MemPorts: 8, Share: 1, Pipeline: true}
-	for i, name := range kernels {
-		w, err := ecoscale.KernelByName(name)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if _, err := m.DeployKernel(w.Source, dirs, i*8); err != nil {
-			return 0, 0, 0, 0, err
-		}
-	}
-	m.SetPolicy(rts.PolicyModel{})
-
-	rng := sim.NewRNG(7)
-	buf := m.Space.Alloc(0, 1<<20)
-	out := m.Space.Alloc(0, 4096)
-
-	const total = 600
-	doneBy := make([]int, m.Workers())
-	errBy := make([]error, m.Workers())
-	for i := 0; i < total; i++ {
-		name := kernels[rng.Intn(len(kernels))]
-		w, _ := ecoscale.KernelByName(name)
-		n := 64 << rng.Intn(6)
-		args, bindings := w.Make(n, rng)
-		stats, err := hls.Run(w.Kernel(), args)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		target := rng.Intn(m.Workers())
-		m.Submit(target, &rts.Task{
-			Kernel:   name,
-			Bindings: bindings,
-			Reads:    []accel.Span{{Addr: buf, Size: n * 8}},
-			Writes:   []accel.Span{{Addr: out, Size: 64}},
-			SWStats:  stats,
-		}, func(_ rts.Device, err error) {
-			doneBy[target]++
-			if err != nil && errBy[target] == nil {
-				errBy[target] = err
-			}
-		})
-	}
-	end := m.Run()
-
-	completed := 0
-	for w := 0; w < m.Workers(); w++ {
-		completed += doneBy[w]
-		if errBy[w] != nil {
-			return 0, 0, 0, 0, fmt.Errorf("worker %d task failed: %v", w, errBy[w])
-		}
-	}
-	if completed != total {
-		return 0, 0, 0, 0, fmt.Errorf("completed %d of %d tasks", completed, total)
-	}
-	var cpu, hw uint64
-	m.EachSched(func(s *rts.Scheduler) {
-		cpu += s.Executed(rts.DeviceCPU)
-		hw += s.Executed(rts.DeviceHW)
-	})
-	if cpu+hw != total {
-		return 0, 0, 0, 0, fmt.Errorf("executed %d+%d != %d", cpu, hw, total)
-	}
-	if hw == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("model policy never used hardware in the sharded soak")
-	}
-	if p := m.Grp.Pending(); p != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%d events still pending after drain", p)
-	}
-	return end, m.EventsRun(), cpu, hw, nil
-}
-
-// TestSoakSharded is the race-soak for the parallel engine: the full
-// mixed workload on 4 and 8 shards (multiple shard goroutines under
-// -race), with the aggregates pinned to the 1-shard run — shard-count
-// invariance at soak scale.
-func TestSoakSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	type res struct {
-		end     sim.Time
-		events  uint64
-		cpu, hw uint64
-	}
-	runK := func(k int) res {
-		end, events, cpu, hw, err := soakShardRun(k)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		return res{end, events, cpu, hw}
-	}
-	base := runK(1)
-	for _, k := range []int{4, 8} {
-		if got := runK(k); got != base {
-			t.Errorf("shards=%d diverged: %+v, want %+v", k, got, base)
-		}
-	}
-}
-
-// TestSoakShardedFaultStorm kills Workers on three different shards and
-// flaps links at both tree levels while a sharded machine is loaded —
-// the cross-shard recovery path (evacuation hops, rerouted resubmission
-// through the interconnect) under the race detector. Recovery timing is
-// not shard-count-invariant, so this asserts conservation only.
-func TestSoakShardedFaultStorm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	cfg := ecoscale.DefaultConfig(8, 4) // CN per shard below
-	cfg.Shards = 4
-	cfg.CompressedBitstreams = true
-	m := ecoscale.New(cfg)
-
-	w, err := ecoscale.KernelByName("reduce")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := ecoscale.Directives{Unroll: 8, MemPorts: 8, Share: 1, Pipeline: true}
-	if _, err := m.DeployKernel(w.Source, dirs, 0); err != nil {
-		t.Fatal(err)
-	}
-	m.SetPolicy(rts.PolicyModel{})
-
-	rng := sim.NewRNG(21)
-	buf := m.Space.Alloc(0, 1<<20)
-	const total = 300
-	doneBy := make([]int, m.Workers())
-	failBy := make([]int, m.Workers())
-	for i := 0; i < total; i++ {
-		n := 64 << rng.Intn(5)
-		args, bindings := w.Make(n, rng)
-		stats, err := hls.Run(w.Kernel(), args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := rng.Intn(m.Workers())
-		m.Submit(target, &rts.Task{
-			Kernel:   "reduce",
-			Bindings: bindings,
-			Reads:    []accel.Span{{Addr: buf, Size: n * 8}},
-			SWStats:  stats,
-		}, func(_ rts.Device, err error) {
-			doneBy[target]++
-			if err != nil {
-				failBy[target]++
-			}
-		})
-	}
-	// Deaths on shards 0, 1 and 3; flaps on the top-level link (owned by
-	// a remote shard) and a node-local one.
-	m.InjectFaults(&fault.Plan{
-		Events: []fault.Event{
-			{At: 5 * sim.Microsecond, Kind: fault.KillWorker, Worker: 3},
-			{At: 8 * sim.Microsecond, Kind: fault.FlapLink, Worker: 20, Level: 1, Down: 10 * sim.Microsecond},
-			{At: 12 * sim.Microsecond, Kind: fault.KillWorker, Worker: 12},
-			{At: 15 * sim.Microsecond, Kind: fault.FlapLink, Worker: 9, Level: 0, Down: 5 * sim.Microsecond},
-			{At: 20 * sim.Microsecond, Kind: fault.KillWorker, Worker: 28},
-		},
-	})
-	m.Run()
-
-	completed, failed := 0, 0
-	for i := range doneBy {
-		completed += doneBy[i]
-		failed += failBy[i]
-	}
-	if completed != total {
-		t.Fatalf("completed %d of %d tasks", completed, total)
-	}
-	if failed != 0 {
-		t.Fatalf("%d tasks failed despite live buddies", failed)
-	}
-	if got := m.DeadWorkers(); got != 3 {
-		t.Fatalf("%d dead workers, want 3", got)
-	}
-	reg := m.Metrics()
-	if reg.CounterTotal("fault.worker_deaths") != 3 {
-		t.Errorf("merged worker_deaths = %d, want 3", reg.CounterTotal("fault.worker_deaths"))
-	}
-	if reg.CounterTotal("fault.link_flaps") != 2 {
-		t.Errorf("merged link_flaps = %d, want 2", reg.CounterTotal("fault.link_flaps"))
-	}
-	if p := m.Grp.Pending(); p != 0 {
-		t.Fatalf("%d events still pending after drain", p)
-	}
-}
