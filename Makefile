@@ -2,9 +2,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments scale-smoke race-soak cache-smoke
+.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments scale-smoke race-soak fuzz
 
-check: fmt vet lint build race experiments bench-smoke scale-smoke cache-smoke
+check: fmt vet lint build race experiments bench-smoke scale-smoke
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -67,18 +67,15 @@ experiments:
 scale-smoke:
 	go test -run TestScaleSmoke100k -v .
 
-# Result-cache smoke: the same quick ecobench run twice against one
-# content-addressed cache directory must be byte-identical — the second
-# run is served from the store instead of simulating. CI's warm-cache
-# lane runs the full E-suite version with a speedup assertion.
-cache-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	go run ./cmd/ecobench -quick -parallel 0 -cache -cache-dir "$$tmp/cas" > "$$tmp/cold.txt" || exit 1; \
-	go run ./cmd/ecobench -quick -parallel 0 -cache -cache-dir "$$tmp/cas" > "$$tmp/warm.txt" || exit 1; \
-	cmp "$$tmp/cold.txt" "$$tmp/warm.txt" && \
-	echo "cache-smoke: warm ecobench byte-identical to cold"
-
 # Longer -race pass: soak + determinism property sweeps with the race
 # detector on, for CI's slow lane.
 race-soak:
 	go test -race -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke' -count 2 ./...
+
+# Short fuzzing pass over the user-supplied kernel-source surface (the
+# HLS parser, synthesizer and interpreter). Each target runs for a fixed
+# time; the seed corpora alone already run under `go test ./...`. Kept
+# out of `check`, which must stay fast.
+fuzz:
+	go test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
+	go test ./internal/hls -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 15s

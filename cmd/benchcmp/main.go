@@ -4,11 +4,10 @@
 // bench-regression lane.
 //
 // Wall-clock numbers only mean something on the host that produced
-// them, so absolute time-based fields (ns/event, the cache_warm cold/warm
-// speedup) are compared only when both reports come from an equivalent
-// host — same CPU count and architecture. Allocation counts per event are
-// deterministic properties of the code and are compared always, as is the
-// cache_warm hit/miss sanity check.
+// them, so absolute time-based fields (ns/event) are compared only when
+// both reports come from an equivalent host — same CPU count and
+// architecture. Allocation counts per event are deterministic properties
+// of the code and are compared always.
 //
 // The kernel ratios in speedup_events_per_sec (production kernel over the
 // frozen heapref reference, both measured in one run on one host) are
@@ -45,14 +44,6 @@ type kernelEntry struct {
 	BytesPerEvent  float64 `json:"bytes_per_event"`
 }
 
-type cacheWarmEntry struct {
-	Procs   int     `json:"procs"`
-	Points  uint64  `json:"points"`
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	Speedup float64 `json:"speedup_cold_over_warm"`
-}
-
 type report struct {
 	Schema    string             `json:"schema"`
 	GoVersion string             `json:"go_version"`
@@ -60,7 +51,6 @@ type report struct {
 	CPUs      int                `json:"cpus"`
 	Kernel    []kernelEntry      `json:"kernel"`
 	Speedup   map[string]float64 `json:"speedup_events_per_sec"`
-	CacheWarm *cacheWarmEntry    `json:"cache_warm"`
 }
 
 func load(path string) (*report, error) {
@@ -150,23 +140,6 @@ func main() {
 		} else if nv < ov*(1-*tol) {
 			fail("speedup[%s]: %.2fx -> %.2fx", w, ov, nv)
 		}
-	}
-
-	// cache_warm: hit/miss behavior is deterministic for a given suite
-	// (every point misses cold, hits warm), so a warm run that still
-	// misses is a correctness regression and is checked on every host.
-	// The cold/warm speedup is wall-clock: compared only when wallOK and
-	// both runs had the same procs.
-	if oldRep.CacheWarm != nil && newRep.CacheWarm != nil {
-		o, n := oldRep.CacheWarm, newRep.CacheWarm
-		if n.Hits == 0 || n.Misses == 0 {
-			fail("cache_warm: degenerate run (hits=%d misses=%d) — cache not exercised", n.Hits, n.Misses)
-		}
-		if wallOK && o.Procs == n.Procs && o.Points == n.Points && n.Speedup < o.Speedup*(1-*tol) {
-			fail("cache_warm: speedup %.1fx -> %.1fx", o.Speedup, n.Speedup)
-		}
-	} else if oldRep.CacheWarm != nil {
-		fail("cache_warm series missing from new report")
 	}
 
 	if failures > 0 {

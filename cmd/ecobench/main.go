@@ -16,14 +16,9 @@
 //	ecobench -progress        # per-point progress + summary on stderr
 //	ecobench -cpuprofile f    # write a CPU profile of the run to f
 //	ecobench -memprofile f    # write a heap profile (after the run) to f
-//	ecobench -cache           # memoize point results in a content-addressed
-//	                          # cache (~/.cache/ecoscale/cas); warm reruns are
-//	                          # byte-identical and skip simulation entirely
-//	ecobench -cache-dir d     # cache directory (implies -cache)
-//	ecobench -cache-readonly  # consult the cache but never write the disk tier
-//	ecobench -metrics         # dump the metrics registry (cache.* counters,
-//	                          # runner histograms) in Prometheus text format
-//	                          # on stderr after the run
+//	ecobench -metrics         # dump the runner's metrics registry (point
+//	                          # counters, wall-clock histogram) in Prometheus
+//	                          # text format on stderr after the run
 //	ecobench -csv             # CSV instead of aligned text
 //	ecobench -json            # machine-readable JSON instead of aligned text
 //	ecobench -list            # list experiments
@@ -40,14 +35,11 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"ecoscale"
-	"ecoscale/internal/cas"
 	"ecoscale/internal/experiments"
 	"ecoscale/internal/runner"
 	"ecoscale/internal/trace"
@@ -158,9 +150,6 @@ func mainExit() int {
 	quick := flag.Bool("quick", false, "trim the R-series resilience sweeps to a smoke run")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
-	cache := flag.Bool("cache", false, "memoize point results in the content-addressed cache")
-	cacheDir := flag.String("cache-dir", "", "cache directory (default ~/.cache/ecoscale/cas; implies -cache)")
-	cacheRO := flag.Bool("cache-readonly", false, "consult the cache but never write or delete disk entries (implies -cache)")
 	metricsOut := flag.Bool("metrics", false, "dump the metrics registry in Prometheus text format on stderr after the run")
 	flag.Parse()
 
@@ -206,28 +195,7 @@ func mainExit() int {
 	}
 
 	metrics := trace.NewRegistry()
-	// The cache counts from the pool's goroutines under its own lock, so
-	// it gets a registry of its own rather than sharing the runner's.
-	cacheMetrics := trace.NewRegistry()
 	opts := runner.Options{Parallel: *parallel, PointTimeout: *timeout, Metrics: metrics}
-	if *cache || *cacheDir != "" || *cacheRO {
-		dir := *cacheDir
-		if dir == "" {
-			ucd, err := os.UserCacheDir()
-			if err != nil {
-				log.Printf("ecobench: -cache: no user cache dir (%v); use -cache-dir", err)
-				return 1
-			}
-			dir = filepath.Join(ucd, "ecoscale", "cas")
-		}
-		store, err := cas.Open(cas.Options{Dir: dir, ReadOnly: *cacheRO, Metrics: cacheMetrics})
-		if err != nil {
-			log.Printf("ecobench: -cache: %v", err)
-			return 1
-		}
-		opts.Cache = store
-		opts.CacheVersion = ecoscale.KernelVersion
-	}
 	if *progress {
 		opts.Progress = func(ev runner.Event) {
 			switch ev.Kind {
@@ -257,18 +225,11 @@ func mainExit() int {
 		failed := metrics.CounterTotal(runner.MetricPointsFailed)
 		fmt.Fprintf(os.Stderr, "runner: %d points completed, %d failed in %s (parallel=%d)\n",
 			completed, failed, time.Since(start).Round(time.Millisecond), *parallel)
-		if opts.Cache != nil {
-			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d deduplicated, %d corrupt\n",
-				cacheMetrics.CounterTotal(cas.MetricHits), cacheMetrics.CounterTotal(cas.MetricMisses),
-				cacheMetrics.CounterTotal(cas.MetricDedup), cacheMetrics.CounterTotal(cas.MetricCorrupt))
-		}
 	}
 	if *metricsOut {
-		for _, r := range []*trace.Registry{metrics, cacheMetrics} {
-			if err := r.WritePrometheus(os.Stderr); err != nil {
-				log.Print(err)
-				return 1
-			}
+		if err := metrics.WritePrometheus(os.Stderr); err != nil {
+			log.Print(err)
+			return 1
 		}
 	}
 	if len(failures) > 0 {

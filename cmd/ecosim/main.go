@@ -66,15 +66,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault schedule")
 	ckptInterval := flag.Duration("ckpt-interval", 0, "checkpoint interval (0 = checkpointing off)")
 	ckptBytes := flag.Int("ckpt-bytes", 0, "snapshot bytes per Worker checkpoint (0 = default)")
-	version := flag.Bool("version", false, "print the simulation kernel version stamp and exit")
 	flag.Parse()
-
-	if *version {
-		// The stamp ecobench folds into result-cache keys: two builds
-		// printing the same stamp may share a warm cache.
-		fmt.Println(ecoscale.KernelVersion)
-		return
-	}
 
 	if err := checkWorkload(*nSize, *tasks); err != nil {
 		log.Fatal(err)

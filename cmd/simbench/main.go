@@ -6,8 +6,7 @@
 // the "old" numbers next to the current ones and a speedup ratio, on the
 // same host. It also times a sequential E-suite subset end-to-end so
 // kernel-level wins can be sanity-checked against whole-experiment wall
-// time, and times the same subset cold-vs-warm against the
-// content-addressed result cache (the cache_warm series).
+// time.
 //
 // Usage:
 //
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"ecoscale"
-	"ecoscale/internal/cas"
 	"ecoscale/internal/experiments"
 	"ecoscale/internal/hls"
 	"ecoscale/internal/rts"
@@ -70,14 +68,7 @@ type report struct {
 	Speedup   map[string]float64 `json:"speedup_events_per_sec"`
 	ESuite    *esuiteResult      `json:"esuite,omitempty"`
 	RSuite    *esuiteResult      `json:"r_suite_wall,omitempty"`
-	// CacheWarm times the same E-suite subset twice against a fresh
-	// content-addressed result cache: the cold pass simulates and
-	// populates it, the warm pass must be served entirely from it with
-	// byte-identical tables (a mismatch aborts the benchmark). The
-	// wall-clock fields are host-bound — benchcmp only compares the
-	// speedup across runs with matching procs.
-	CacheWarm *cacheWarmResult  `json:"cache_warm,omitempty"`
-	Footprint []footprintResult `json:"machine_footprint,omitempty"`
+	Footprint []footprintResult  `json:"machine_footprint,omitempty"`
 }
 
 // footprintResult is one point of the flyweight weak-scaling series:
@@ -101,93 +92,6 @@ type esuiteResult struct {
 	Parallel    int      `json:"parallel"`
 	Points      uint64   `json:"points"`
 	WallSeconds float64  `json:"wall_seconds"`
-}
-
-// cacheWarmResult is the cold-vs-warm result-cache measurement.
-type cacheWarmResult struct {
-	Experiments []string `json:"experiments"`
-	Parallel    int      `json:"parallel"`
-	Procs       int      `json:"procs"`
-	Points      uint64   `json:"points"`
-	ColdSeconds float64  `json:"cold_seconds"`
-	WarmSeconds float64  `json:"warm_seconds"`
-	Speedup     float64  `json:"speedup_cold_over_warm"`
-	Hits        uint64   `json:"hits"`
-	Misses      uint64   `json:"misses"`
-	BytesOnDisk uint64   `json:"bytes_written"`
-}
-
-// cacheWarmSeries runs the selected experiments twice against a fresh
-// cas store in a temp directory: cold (simulating, populating) then
-// warm (cache-served). The two passes must render byte-identical
-// tables; a divergence is a cache-correctness bug and aborts.
-func cacheWarmSeries(ids []string, parallel int) (*cacheWarmResult, error) {
-	reg := experiments.Registry()
-	var sel []runner.Scenario
-	for _, id := range ids {
-		found := false
-		for _, s := range reg {
-			if s.ID == id {
-				sel = append(sel, s)
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown experiment %q", id)
-		}
-	}
-	dir, err := os.MkdirTemp("", "ecoscale-cas-bench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	// The store counts from the pool's goroutines under its own lock, so
-	// it gets a registry of its own rather than sharing the runner's.
-	metrics, cacheMetrics := trace.NewRegistry(), trace.NewRegistry()
-	store, err := cas.Open(cas.Options{Dir: dir, Metrics: cacheMetrics})
-	if err != nil {
-		return nil, err
-	}
-	opts := runner.Options{
-		Parallel: parallel, Metrics: metrics,
-		Cache: store, CacheVersion: ecoscale.KernelVersion,
-	}
-	pass := func() (string, float64, error) {
-		var rendered strings.Builder
-		t0 := time.Now()
-		for _, s := range sel {
-			tbl, err := runner.Run(context.Background(), s, opts)
-			if err != nil {
-				return "", 0, fmt.Errorf("%s: %w", s.ID, err)
-			}
-			rendered.WriteString(tbl.String())
-		}
-		return rendered.String(), time.Since(t0).Seconds(), nil
-	}
-	coldOut, coldWall, err := pass()
-	if err != nil {
-		return nil, err
-	}
-	misses := cacheMetrics.CounterTotal(cas.MetricMisses)
-	warmOut, warmWall, err := pass()
-	if err != nil {
-		return nil, err
-	}
-	if coldOut != warmOut {
-		log.Fatalf("cache_warm: warm tables diverged from cold — cache correctness bug")
-	}
-	return &cacheWarmResult{
-		Experiments: ids,
-		Parallel:    parallel,
-		Procs:       runtime.GOMAXPROCS(0),
-		Points:      metrics.CounterTotal(runner.MetricPointsCompleted),
-		ColdSeconds: coldWall,
-		WarmSeconds: warmWall,
-		Speedup:     coldWall / warmWall,
-		Hits:        cacheMetrics.CounterTotal(cas.MetricHits),
-		Misses:      misses,
-		BytesOnDisk: cacheMetrics.CounterTotal(cas.MetricBytesOut),
-	}, nil
 }
 
 // measure runs fn(events) `rounds` times and keeps the fastest round.
@@ -510,16 +414,6 @@ func main() {
 		rep.RSuite = rs
 		fmt.Fprintf(os.Stderr, "rsuite %s: %d points in %.2fs (parallel=%d)\n",
 			strings.Join(rs.Experiments, ","), rs.Points, rs.WallSeconds, rs.Parallel)
-	}
-
-	if *esuite != "" {
-		cw, err := cacheWarmSeries(strings.Split(*esuite, ","), *parallel)
-		if err != nil {
-			log.Fatalf("cache_warm: %v", err)
-		}
-		rep.CacheWarm = cw
-		fmt.Fprintf(os.Stderr, "cache_warm %s: cold %.2fs → warm %.3fs (%.0fx, %d hits)\n",
-			strings.Join(cw.Experiments, ","), cw.ColdSeconds, cw.WarmSeconds, cw.Speedup, cw.Hits)
 	}
 
 	w := os.Stdout

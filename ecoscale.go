@@ -37,12 +37,6 @@ type Config = core.Config
 // the work-stealing cluster and the reconfiguration daemon.
 type Machine = core.Machine
 
-// KernelVersion is the simulation kernel's generation stamp; the result
-// cache folds it into every key so a kernel change invalidates all
-// previously cached rows. See internal/core/version.go for the bump
-// policy.
-const KernelVersion = core.KernelVersion
-
 // Directives are the HLS synthesis knobs (unroll, memory ports, unit
 // sharing, pipelining).
 type Directives = hls.Directives

@@ -65,8 +65,6 @@ func scenE1() runner.Scenario {
 
 // e2Result carries one weak-scaling point's raw measurement; the
 // efficiency column is derived against the first point in Finalize.
-// Fields are exported (here and in every sibling result struct) so the
-// result cache can gob-encode them; see registerCacheValues.
 type e2Result struct {
 	Workers, Total int
 	End            sim.Time

@@ -65,10 +65,6 @@ func scenR1() runner.Scenario {
 				}
 				pts = append(pts, runner.Point{
 					Label: "mtbf=" + label,
-					// Quick trims the stream to 160 tasks without touching the
-					// label, so the cache key must carry total explicitly or a
-					// quick run could poison a full run's cache (and vice versa).
-					Key: fmt.Sprintf("mtbf=%s/total=%d", label, total),
 					Run: func(context.Context) (runner.Row, error) {
 						m := ecoscale.New(ecoscale.DefaultConfig(4, 4))
 						completed := 0

@@ -137,26 +137,36 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential is the determinism regression gate: a
-// representative experiment (E10, whose points share workload setup and
-// formerly threaded a baseline accumulator through loop iterations)
-// must render byte-identically at -parallel 1 and -parallel 4. It runs
-// under `go test -race` via `make race`.
+// TestParallelMatchesSequential is the determinism regression gate:
+// each sampled experiment must render byte-identically at -parallel 1
+// and -parallel 4. E10's points share workload setup and formerly
+// threaded a baseline accumulator through loop iterations; E2 derives a
+// column in Finalize from each point's Value; E7 carries critical-path
+// share columns; E14, R1 and R4 are plain multi-point scenarios from
+// two more scenario files. It runs under `go test -race` via
+// `make race`.
 func TestParallelMatchesSequential(t *testing.T) {
-	s, err := ByID("E10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := runner.Run(context.Background(), s, runner.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runner.Run(context.Background(), s, runner.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("E10 parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
+	for _, id := range []string{"E10", "E2", "E7", "E14", "R1", "R4"} {
+		t.Run(id, func(t *testing.T) {
+			s, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := runner.Run(context.Background(), s, runner.Options{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := runner.Run(context.Background(), s, runner.Options{Parallel: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.String() != par.String() {
+				t.Errorf("%s parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", id, seq, par)
+			}
+			if seq.CSV() != par.CSV() {
+				t.Errorf("%s parallel CSV differs from sequential", id)
+			}
+		})
 	}
 }
 

@@ -26,6 +26,9 @@ type env struct {
 	loads   uint64
 	stores  uint64
 	flops   uint64
+	// budget is the loop iterations this Run may still execute, shared
+	// by every loop so nesting cannot multiply the bound.
+	budget int
 }
 
 // RunStats reports the dynamic operation mix of one kernel execution,
@@ -43,7 +46,7 @@ func Run(k *Kernel, args []Value) (RunStats, error) {
 	if len(args) != len(k.Params) {
 		return RunStats{}, fmt.Errorf("hls: kernel %s takes %d args, got %d", k.Name, len(k.Params), len(args))
 	}
-	e := &env{scalars: map[string]float64{}, buffers: map[string][]float64{}}
+	e := &env{scalars: map[string]float64{}, buffers: map[string][]float64{}, budget: maxIterations}
 	for i, p := range k.Params {
 		if p.IsBuffer {
 			if args[i].Buf == nil {
@@ -73,8 +76,9 @@ func (e *env) execBlock(stmts []Stmt) error {
 	return nil
 }
 
-// maxIterations defends against non-terminating loops; a variable so
-// tests can tighten it.
+// maxIterations bounds the loop iterations of one Run, summed over all
+// loops, so a non-terminating or runaway kernel is an error rather than
+// a hang; a variable so tests can tighten it.
 var maxIterations = 1 << 28
 
 func (e *env) exec(s Stmt) error {
@@ -102,10 +106,7 @@ func (e *env) exec(s Stmt) error {
 		if err := e.exec(st.Init); err != nil {
 			return err
 		}
-		for iter := 0; ; iter++ {
-			if iter >= maxIterations {
-				return fmt.Errorf("hls: loop exceeded %d iterations", maxIterations)
-			}
+		for {
 			c, err := e.eval(st.Cond)
 			if err != nil {
 				return err
@@ -113,6 +114,10 @@ func (e *env) exec(s Stmt) error {
 			if c == 0 {
 				return nil
 			}
+			if e.budget == 0 {
+				return fmt.Errorf("hls: kernel exceeded %d loop iterations", maxIterations)
+			}
+			e.budget--
 			if err := e.execBlock(st.Body); err != nil {
 				return err
 			}

@@ -183,13 +183,38 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// The iteration bound covers the whole Run, not each loop: a nest whose
+// loops each stay under it must still be stopped once their product
+// exceeds it, and a nest that fits must still finish.
 func TestRunInfiniteLoopGuard(t *testing.T) {
 	old := maxIterations
 	maxIterations = 1000
 	defer func() { maxIterations = old }()
-	k := MustParse(`kernel f(global float* A, int N) { for (i = 0; i < 1; i = i * 1) { A[0] = i; } }`)
-	if _, err := Run(k, []Value{B(make([]float64, 1)), S(0)}); err == nil {
-		t.Error("non-terminating loop did not error")
+	nested := MustParse(`kernel f(global float* A, int N) {
+    for (i = 0; i < N; i++) {
+        for (j = 0; j < N; j++) {
+            A[0] = A[0] + 1.0;
+        }
+    }
+}`)
+	runaway := map[string]struct {
+		k *Kernel
+		n float64
+	}{
+		"non-terminating": {MustParse(`kernel f(global float* A, int N) { for (i = 0; i < 1; i = i * 1) { A[0] = i; } }`), 0},
+		"900x900 nest":    {nested, 900},
+	}
+	for name, c := range runaway {
+		if _, err := Run(c.k, []Value{B(make([]float64, 1)), S(c.n)}); err == nil {
+			t.Errorf("%s: loop over a 1000-iteration budget did not error", name)
+		}
+	}
+	a := make([]float64, 1)
+	if _, err := Run(nested, []Value{B(a), S(30)}); err != nil { // 30 + 30*30 = 930
+		t.Errorf("30x30 nest within budget: %v", err)
+	}
+	if a[0] != 900 {
+		t.Errorf("30x30 nest: A[0] = %v, want 900", a[0])
 	}
 }
 

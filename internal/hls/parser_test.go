@@ -67,8 +67,7 @@ func TestParseVecAdd(t *testing.T) {
 	}
 }
 
-func TestParseNestedAndIf(t *testing.T) {
-	src := `
+const srcNestedIf = `
 kernel f(global float* A, int N) {
     for (i = 0; i < N; i++) {
         if (A[i] > 0.0) {
@@ -80,7 +79,9 @@ kernel f(global float* A, int N) {
         }
     }
 }`
-	k, err := Parse(src)
+
+func TestParseNestedAndIf(t *testing.T) {
+	k, err := Parse(srcNestedIf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +98,7 @@ kernel f(global float* A, int N) {
 	}
 }
 
-func TestParseCompoundOps(t *testing.T) {
-	src := `
+const srcCompound = `
 kernel f(global float* A, int N) {
     int s = 0;
     for (i = 0; i < N; i++) {
@@ -107,7 +107,9 @@ kernel f(global float* A, int N) {
         s--;
     }
 }`
-	k, err := Parse(src)
+
+func TestParseCompoundOps(t *testing.T) {
+	k, err := Parse(srcCompound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,36 +150,39 @@ func TestParseBuiltins(t *testing.T) {
 	}
 }
 
-func TestParseComments(t *testing.T) {
-	src := `
+const srcComments = `
 /* block
    comment */
 kernel f(global float* A, int N) {
     A[0] = 1.0; // trailing
 }`
-	if _, err := Parse(src); err != nil {
+
+func TestParseComments(t *testing.T) {
+	if _, err := Parse(srcComments); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// parseErrorCases are sources Parse must reject, by failure mode.
+var parseErrorCases = map[string]string{
+	"missing kernel":  `func f() {}`,
+	"bad param":       `kernel f(float* A) {}`,
+	"nonglobal ptr":   `kernel f(global float A) {}`,
+	"dup param":       `kernel f(int N, int N) {}`,
+	"unknown func":    `kernel f(int N) { int x = foo(N); }`,
+	"bad argc":        `kernel f(int N) { int x = min(N); }`,
+	"unterminated":    `kernel f(int N) { int x = 1;`,
+	"trailing":        `kernel f(int N) { } extra`,
+	"decl of element": `kernel f(global float* A, int N) { float A[0] = 1.0; }`,
+	"bad char":        `kernel f(int N) { int x = N @ 2; }`,
+	"unterm comment":  `kernel f(int N) { /* }`,
+	"missing semi":    `kernel f(int N) { int x = 1 }`,
+	"compound decl":   `kernel f(int N) { int x += 1; }`,
+	"bad assign":      `kernel f(int N) { x 1; }`,
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"missing kernel":  `func f() {}`,
-		"bad param":       `kernel f(float* A) {}`,
-		"nonglobal ptr":   `kernel f(global float A) {}`,
-		"dup param":       `kernel f(int N, int N) {}`,
-		"unknown func":    `kernel f(int N) { int x = foo(N); }`,
-		"bad argc":        `kernel f(int N) { int x = min(N); }`,
-		"unterminated":    `kernel f(int N) { int x = 1;`,
-		"trailing":        `kernel f(int N) { } extra`,
-		"decl of element": `kernel f(global float* A, int N) { float A[0] = 1.0; }`,
-		"bad char":        `kernel f(int N) { int x = N @ 2; }`,
-		"unterm comment":  `kernel f(int N) { /* }`,
-		"missing semi":    `kernel f(int N) { int x = 1 }`,
-		"compound decl":   `kernel f(int N) { int x += 1; }`,
-		"bad assign":      `kernel f(int N) { x 1; }`,
-	}
-	for name, src := range cases {
+	for name, src := range parseErrorCases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%s: expected error", name)
 		}

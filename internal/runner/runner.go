@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"ecoscale/internal/cas"
 	"ecoscale/internal/trace"
 )
 
@@ -56,18 +55,6 @@ func V(value any) Row { return Row{Value: value} }
 type Point struct {
 	Label string
 	Run   func(ctx context.Context) (Row, error)
-
-	// Key, when non-empty, is the canonical encoding of every parameter
-	// that determines this point's Row — the "params" field of its
-	// content-address in the result cache (see internal/cas). Leave it
-	// empty on a Cacheable scenario to use Label, which most scenarios
-	// already build as a faithful param encoding; set it explicitly when
-	// the Label omits a workload-shaping input (R1's Quick-trimmed task
-	// count, for example).
-	Key string
-	// Seed is folded into the cache key for points whose workload is
-	// seeded; zero otherwise.
-	Seed int64
 }
 
 // Scenario is one declarative experiment: identity, table shape, a
@@ -91,13 +78,6 @@ type Scenario struct {
 	// declared order) and the full rows slice. It computes cross-point
 	// derived columns and may append or rewrite rows.
 	Finalize func(tbl *trace.Table, rows []Row) error
-
-	// Cacheable declares that every point of this scenario is a pure
-	// function of (scenario id, point Label-or-Key, Seed, kernel
-	// version) — no host clocks, no cross-point state — so Run may
-	// memoize its rows in Options.Cache. Value types carried to Finalize
-	// must be registered with RegisterCacheValue.
-	Cacheable bool
 }
 
 // PointError labels a point failure with its scenario and point.
@@ -172,17 +152,6 @@ type Options struct {
 	// Progress, when set, is called for every point event. Calls are
 	// serialized; the callback must not block for long.
 	Progress func(Event)
-	// Cache, when set, memoizes rows of cacheable points (see
-	// Scenario.Cacheable / Point.Key) in a content-addressed store:
-	// repeated and overlapping runs hit the cache instead of
-	// re-simulating, and concurrent identical points collapse to one
-	// simulation. Cached and fresh paths assemble byte-identical tables.
-	Cache *cas.Store
-	// CacheVersion stamps every cache key with the simulation kernel's
-	// version (core.KernelVersion); bumping it invalidates all prior
-	// entries. Required when Cache is set — an empty stamp would let
-	// results from semantically different kernels collide.
-	CacheVersion string
 }
 
 // Run executes the scenario and assembles its table. Results are placed
@@ -251,14 +220,7 @@ func Run(ctx context.Context, s Scenario, opts Options) (*trace.Table, error) {
 			}
 			return p.Run(pctx)
 		}
-
-		var row Row
-		var err error
-		if opts.Cache != nil && s.cacheablePoint(&p) {
-			row, err = runCached(opts.Cache, cacheKey(&s, &p, opts.CacheVersion), execute)
-		} else {
-			row, err = execute()
-		}
+		row, err := execute()
 
 		elapsed := time.Since(start)
 		if err != nil {

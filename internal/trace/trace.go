@@ -295,29 +295,21 @@ func NewTable(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// RenderCell renders one table cell exactly as AddRow does: %v for
-// most values, %.4g for floats, strings verbatim. It is exported so
-// the result cache (internal/runner's row codec) can persist cells in
-// their final rendered form — a decoded row re-added through AddRow is
-// then byte-identical to the freshly computed one.
-func RenderCell(c any) string {
-	switch v := c.(type) {
-	case float64:
-		return fmt.Sprintf("%.4g", v)
-	case float32:
-		return fmt.Sprintf("%.4g", v)
-	case string:
-		return v
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-// AddRow appends a row; cells are rendered with %v, floats with %.4g.
+// AddRow appends a row; cells are rendered with %v, floats with %.4g,
+// strings verbatim.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		row[i] = RenderCell(c)
+		switch v := c.(type) {
+		case float64:
+			row[i] = fmt.Sprintf("%.4g", v)
+		case float32:
+			row[i] = fmt.Sprintf("%.4g", v)
+		case string:
+			row[i] = v
+		default:
+			row[i] = fmt.Sprint(v)
+		}
 	}
 	t.Rows = append(t.Rows, row)
 }
