@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test race lint bench bench-json bench-smoke experiments scale-smoke race-soak fuzz
+.PHONY: check fmt vet build test race lint bench bench-smoke experiments scale-smoke race-soak fuzz
 
 check: fmt vet lint build race experiments bench-smoke scale-smoke
 
@@ -34,26 +34,13 @@ race:
 bench:
 	go test -bench . -benchtime 1x ./...
 
-# Full kernel-vs-reference benchmark report (events/sec, ns/event,
-# allocs/event, E-suite wall time). Compare runs
-# across commits with cmd/benchcmp to catch hot-path regressions.
-# BENCH_sim.json is a committed baseline: refuse to overwrite it from a
-# dirty tree (the result would mix measured code with unrecorded edits)
-# unless FORCE=1.
-bench-json:
-ifneq ($(FORCE),1)
-	@if ! git diff --quiet HEAD -- . 2> /dev/null; then \
-		echo "bench-json: working tree is dirty; a baseline must be measured from a commit."; \
-		echo "  commit your changes, or override with: make bench-json FORCE=1"; \
-		exit 1; \
-	fi
-endif
-	go run ./cmd/simbench -out BENCH_sim.json
-
-# One-round smoke of the same harness so `make check` notices when a
-# kernel workload breaks or starts allocating (analogous to -benchtime 1x).
+# Event-kernel speedup gate: times the production kernel against the
+# frozen heapref reference on the same shapes, in the same run, and fails
+# when a ratio drops below its floor (see internal/sim/bench_test.go).
+# The zero-alloc half of the kernel contract is TestKernelZeroAlloc,
+# which runs with the ordinary tests.
 bench-smoke:
-	go run ./cmd/simbench -quick -out /dev/null 2> /dev/null
+	go test -run '^$$' -bench '^BenchmarkKernelSpeedup$$' -benchtime 1x ./internal/sim
 
 # Smoke-run ecobench over a fast subset through the parallel runner,
 # exercising the pool, per-point timeouts and multi-ID selection; the
@@ -72,10 +59,12 @@ scale-smoke:
 race-soak:
 	go test -race -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke' -count 2 ./...
 
-# Short fuzzing pass over the user-supplied kernel-source surface (the
-# HLS parser, synthesizer and interpreter). Each target runs for a fixed
-# time; the seed corpora alone already run under `go test ./...`. Kept
-# out of `check`, which must stay fast.
+# Short fuzzing pass over the user-input surfaces: kernel source (the HLS
+# parser, synthesizer and interpreter), machine configs and fault plans.
+# Each target runs for a fixed time; the seed corpora alone already run
+# under `go test ./...`. Kept out of `check`, which must stay fast.
 fuzz:
 	go test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
 	go test ./internal/hls -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 15s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 15s
+	go test ./internal/fault -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 15s

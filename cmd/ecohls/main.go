@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"ecoscale/internal/fabric"
@@ -37,6 +38,9 @@ func main() {
 	emit := flag.Bool("emit", false, "print the canonical (desugared) kernel source and exit")
 	budget := flag.Int("budget", 0, "DSE area budget in fabric regions (0 = unbounded)")
 	flag.Parse()
+	if err := checkSize(*n); err != nil {
+		log.Fatal(err)
+	}
 
 	if *list {
 		for _, w := range workload.Registry() {
@@ -105,4 +109,13 @@ func main() {
 	mod := im.Module()
 	regions := mod.Req.RegionsNeeded(fabric.DefaultConfig().PerRegion)
 	fmt.Printf("fabric footprint: %d region(s) on the default 8x8 fabric\n", regions)
+}
+
+// checkSize rejects a reference problem size no kernel can be estimated
+// at.
+func checkSize(n float64) error {
+	if !(n > 0) || math.IsInf(n, 0) {
+		return fmt.Errorf("ecohls: -n %g: the problem size must be positive and finite", n)
+	}
+	return nil
 }

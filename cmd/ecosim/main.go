@@ -178,6 +178,9 @@ func main() {
 		LinkMTBF: st(*faultLinkMTBF), LinkDown: st(*faultLinkDown), MaxFlaps: *faultMaxFlaps,
 		Checkpoint: fault.CheckpointConfig{Interval: st(*ckptInterval), Bytes: *ckptBytes},
 	}
+	if err := plan.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	if !plan.Empty() {
 		fmt.Printf("armed %d fault events (seed %d)\n", m.InjectFaults(plan), *faultSeed)
 	}

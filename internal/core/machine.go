@@ -43,6 +43,10 @@ import (
 // misplaced digit in a fan-out before they exhaust memory.
 const MaxWorkers = 1 << 24
 
+// MaxMappedBytes bounds the identity-mapped window: the Workers' SMMUs
+// share one table entry per page of it.
+const MaxMappedBytes = 256 << 20
+
 // Config describes a machine to build. The zero value is not valid; use
 // DefaultConfig and override.
 type Config struct {
@@ -122,14 +126,13 @@ func (cfg Config) Validate() error {
 		}
 		workers *= f
 	}
-	if cfg.MappedBytes < 0 {
-		return fmt.Errorf("core: MappedBytes = %d; the identity-mapped window cannot be negative", cfg.MappedBytes)
+	if cfg.MappedBytes < 0 || cfg.MappedBytes > MaxMappedBytes {
+		return fmt.Errorf("core: MappedBytes = %d; the identity-mapped window must be 0 (16 MiB) to %d bytes", cfg.MappedBytes, MaxMappedBytes)
 	}
-	if cfg.Fabric.Rows <= 0 || cfg.Fabric.Cols <= 0 {
-		return fmt.Errorf("core: fabric grid %dx%d; both dimensions need at least one region", cfg.Fabric.Rows, cfg.Fabric.Cols)
-	}
-	if cfg.SMMU.TLBEntries <= 0 {
-		return fmt.Errorf("core: SMMU needs at least one TLB entry, got %d", cfg.SMMU.TLBEntries)
+	for _, err := range []error{cfg.Unimem.Validate(), cfg.Fabric.Validate(), cfg.SMMU.Validate()} {
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 	}
 	return nil
 }

@@ -61,6 +61,16 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"negative mapped bytes", func(c *Config) { c.MappedBytes = -1 }, "MappedBytes"},
 		{"empty fabric", func(c *Config) { c.Fabric.Rows = 0 }, "fabric grid"},
 		{"no tlb", func(c *Config) { c.SMMU.TLBEntries = 0 }, "TLB"},
+		// Each of these used to pass Validate and then panic in New or on
+		// the first Worker's materialization.
+		{"zero page", func(c *Config) { c.Unimem.PageBytes = 0 }, "PageBytes = 0"},
+		{"negative page", func(c *Config) { c.Unimem.PageBytes = -4096 }, "PageBytes = -4096"},
+		{"zero smmu page bits", func(c *Config) { c.SMMU.PageBits = 0 }, "PageBits = 0"},
+		{"huge smmu page bits", func(c *Config) { c.SMMU.PageBits = 70 }, "PageBits = 70"},
+		{"no config port", func(c *Config) { c.Fabric.PortBytesPerNs = 0 }, "PortBytesPerNs = 0"},
+		{"negative bitstream", func(c *Config) { c.Fabric.BytesPerRegion = -1 }, "BytesPerRegion = -1"},
+		{"tiny smmu pages", func(c *Config) { c.SMMU.PageBits = 1 }, "PageBits = 1"},
+		{"oversized identity map", func(c *Config) { c.MappedBytes = 1 << 40 }, "MappedBytes = 1099511627776"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(2, 1)
@@ -77,6 +87,47 @@ func TestConfigValidateErrors(t *testing.T) {
 	if err := DefaultConfig(4, 2).Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
+}
+
+// FuzzConfigValidate: Validate never panics, and a config it accepts
+// builds without panicking, including the first Worker's fabric, SMMU
+// and scheduler, which materialize lazily. Machines above 64 Workers are
+// only validated, to keep each input cheap.
+func FuzzConfigValidate(f *testing.F) {
+	def := DefaultConfig(4, 2)
+	seed := func(mut func(*Config)) {
+		c := def
+		mut(&c)
+		f.Add(c.FanOut[0], c.FanOut[1], c.Unimem.PageBytes, c.SMMU.PageBits, c.SMMU.TLBEntries,
+			c.Fabric.Rows, c.Fabric.Cols, c.Fabric.BytesPerRegion, c.Fabric.PortBytesPerNs, c.MappedBytes)
+	}
+	seed(func(*Config) {})
+	seed(func(c *Config) { c.Unimem.PageBytes = 0 })
+	seed(func(c *Config) { c.Unimem.PageBytes = -4096 })
+	seed(func(c *Config) { c.SMMU.PageBits = 0 })
+	seed(func(c *Config) { c.SMMU.PageBits = 70 })
+	seed(func(c *Config) { c.Fabric.PortBytesPerNs = 0 })
+	seed(func(c *Config) { c.Fabric.BytesPerRegion = -1 })
+	seed(func(c *Config) { c.SMMU.PageBits = 12; c.MappedBytes = MaxMappedBytes })
+	seed(func(c *Config) { c.FanOut = []int{8, 8}; c.Fabric.Rows = 256; c.Fabric.Cols = 256 })
+	f.Fuzz(func(t *testing.T, wpc, nodes, pageBytes, pageBits, tlb, rows, cols, bytesPerRegion int,
+		portBytesPerNs float64, mappedBytes int) {
+		cfg := def
+		cfg.FanOut = []int{wpc, nodes}
+		cfg.Unimem.PageBytes = pageBytes
+		cfg.SMMU.PageBits = pageBits
+		cfg.SMMU.TLBEntries = tlb
+		cfg.Fabric.Rows, cfg.Fabric.Cols = rows, cols
+		cfg.Fabric.BytesPerRegion = bytesPerRegion
+		cfg.Fabric.PortBytesPerNs = portBytesPerNs
+		cfg.MappedBytes = mappedBytes
+		if cfg.Validate() != nil || wpc*nodes > 64 {
+			return
+		}
+		m := New(cfg)
+		m.Manager(0)
+		m.Sched(0)
+	})
 }
 
 // The flyweight invariants: construction materializes no Workers, the

@@ -12,6 +12,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ecoscale/internal/energy"
@@ -90,6 +91,23 @@ type Config struct {
 	PortBytesPerNs float64
 }
 
+// MaxRegions bounds the region grid, Rows x Cols.
+const MaxRegions = 1 << 16
+
+// Validate returns the first problem with the config, or nil.
+func (c Config) Validate() error {
+	if c.Rows <= 0 || c.Cols <= 0 || c.Rows > MaxRegions/c.Cols {
+		return fmt.Errorf("fabric: %dx%d fabric grid; it needs 1 to %d regions in a positive number of rows and columns", c.Rows, c.Cols, MaxRegions)
+	}
+	if !(c.PortBytesPerNs > 0) || math.IsInf(c.PortBytesPerNs, 0) {
+		return fmt.Errorf("fabric: PortBytesPerNs = %g; the configuration port bandwidth must be positive and finite", c.PortBytesPerNs)
+	}
+	if c.BytesPerRegion < 0 {
+		return fmt.Errorf("fabric: BytesPerRegion = %d; a region's bitstream size cannot be negative", c.BytesPerRegion)
+	}
+	return nil
+}
+
 // DefaultConfig returns a mid-size Zynq-class fabric: an 8x8 grid of
 // regions, ~4 MiB full bitstream, 400 MB/s configuration port.
 func DefaultConfig() Config {
@@ -164,11 +182,8 @@ type Fabric struct {
 
 // New creates an empty fabric.
 func New(eng *sim.Engine, cfg Config, meter *energy.Meter) *Fabric {
-	if cfg.Rows <= 0 || cfg.Cols <= 0 {
-		panic("fabric: grid must be positive")
-	}
-	if cfg.PortBytesPerNs <= 0 {
-		panic("fabric: configuration port bandwidth must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &Fabric{cfg: intern.Canonical(cfg), eng: eng, meter: meter}
 }

@@ -11,6 +11,7 @@
 package fault
 
 import (
+	"fmt"
 	"sort"
 
 	"ecoscale/internal/sim"
@@ -145,6 +146,38 @@ const (
 	saltFill   = 0x66696c6c
 )
 
+// MaxEvents bounds a plan's schedule. Schedule stops drawing stochastic
+// faults once it holds more, and Validate rejects such a plan.
+const MaxEvents = 1 << 16
+
+// Validate returns the first problem with the plan, or nil: a negative
+// time, cap or size, or a schedule of more than MaxEvents events. It
+// counts the schedule of a machine on which every fault class can
+// strike, which bounds every other machine's. A nil plan is valid.
+func (p *Plan) Validate() error {
+	if p == nil {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Start", int64(p.Start)}, {"Horizon", int64(p.Horizon)},
+		{"WorkerMTBF", int64(p.WorkerMTBF)}, {"MaxKills", int64(p.MaxKills)},
+		{"RegionMTBF", int64(p.RegionMTBF)}, {"MaxRegionFails", int64(p.MaxRegionFails)},
+		{"LinkMTBF", int64(p.LinkMTBF)}, {"LinkDown", int64(p.LinkDown)}, {"MaxFlaps", int64(p.MaxFlaps)},
+		{"Checkpoint.Interval", int64(p.Checkpoint.Interval)}, {"Checkpoint.Bytes", int64(p.Checkpoint.Bytes)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("fault: %s = %d; plan times (ps), caps and sizes cannot be negative", f.name, f.v)
+		}
+	}
+	if n := len(p.Schedule(Shape{Workers: 1, Rows: 1, Cols: 1, Levels: 1})); n > MaxEvents {
+		return fmt.Errorf("fault: the plan expands to more than %d fault events; raise an MTBF, set a cap or shorten the horizon", MaxEvents)
+	}
+	return nil
+}
+
 // Schedule expands the plan into the concrete, time-sorted fault list
 // for a machine of the given shape. Pure: no engine, no global state —
 // calling it twice yields identical slices.
@@ -160,7 +193,7 @@ func (p *Plan) Schedule(sh Shape) []Event {
 	if p.WorkerMTBF > 0 && sh.Workers > 0 {
 		rng := sim.NewRNG(p.Seed ^ saltKill)
 		t := p.Start
-		for n := 0; p.MaxKills == 0 || n < p.MaxKills; n++ {
+		for n := 0; (p.MaxKills == 0 || n < p.MaxKills) && len(out) <= MaxEvents; n++ {
 			t += sim.Time(rng.ExpFloat64() * float64(p.WorkerMTBF))
 			if t > p.Start+horizon {
 				break
@@ -171,7 +204,7 @@ func (p *Plan) Schedule(sh Shape) []Event {
 	if p.RegionMTBF > 0 && sh.Workers > 0 && sh.Rows > 0 && sh.Cols > 0 {
 		rng := sim.NewRNG(p.Seed ^ saltRegion)
 		t := p.Start
-		for n := 0; p.MaxRegionFails == 0 || n < p.MaxRegionFails; n++ {
+		for n := 0; (p.MaxRegionFails == 0 || n < p.MaxRegionFails) && len(out) <= MaxEvents; n++ {
 			t += sim.Time(rng.ExpFloat64() * float64(p.RegionMTBF))
 			if t > p.Start+horizon {
 				break
@@ -187,7 +220,7 @@ func (p *Plan) Schedule(sh Shape) []Event {
 			down = 50 * sim.Microsecond
 		}
 		t := p.Start
-		for n := 0; p.MaxFlaps == 0 || n < p.MaxFlaps; n++ {
+		for n := 0; (p.MaxFlaps == 0 || n < p.MaxFlaps) && len(out) <= MaxEvents; n++ {
 			t += sim.Time(rng.ExpFloat64() * float64(p.LinkMTBF))
 			if t > p.Start+horizon {
 				break

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ecoscale/internal/sim"
@@ -163,4 +164,70 @@ func TestInjectorClampsPastEvents(t *testing.T) {
 	if inj.Fired != 1 {
 		t.Errorf("Fired = %d", inj.Fired)
 	}
+}
+
+func TestPlanValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		want string // "" = accepted
+	}{
+		{"nil", nil, ""},
+		{"empty", &Plan{}, ""},
+		{"capped storm", &Plan{WorkerMTBF: 1, MaxKills: 8}, ""},
+		{"checkpointing", &Plan{Checkpoint: CheckpointConfig{Interval: 50 * sim.Microsecond, Bytes: 4096}}, ""},
+		{"explicit flap", &Plan{Events: []Event{{At: sim.Microsecond, Kind: FlapLink, Worker: -1, Level: -1}}}, ""},
+		{"negative link down", &Plan{LinkMTBF: sim.Microsecond, LinkDown: -sim.Microsecond}, "LinkDown"},
+		{"negative mtbf", &Plan{WorkerMTBF: -1}, "WorkerMTBF"},
+		{"negative horizon", &Plan{Horizon: -1, WorkerMTBF: sim.Millisecond}, "Horizon"},
+		{"negative ckpt bytes", &Plan{Checkpoint: CheckpointConfig{Interval: sim.Millisecond, Bytes: -100}}, "Checkpoint.Bytes"},
+		{"negative kill cap", &Plan{WorkerMTBF: sim.Millisecond, MaxKills: -2}, "MaxKills"},
+		{"negative flap cap", &Plan{LinkMTBF: sim.Millisecond, MaxFlaps: -1}, "MaxFlaps"},
+		// 1ns MTBF over the default 10ms horizon: about 10M kills.
+		{"kill storm", &Plan{WorkerMTBF: sim.Nanosecond}, "more than"},
+		{"flap storm", &Plan{LinkMTBF: sim.Microsecond, Horizon: sim.Second}, "more than"},
+		{"too many explicit", &Plan{Events: make([]Event, MaxEvents+1)}, "more than"},
+	} {
+		err := c.plan.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %q", c.name, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzPlan: Validate never panics, and the schedule of a plan it accepts
+// is deterministic and holds at most MaxEvents events.
+func FuzzPlan(f *testing.F) {
+	f.Add(int64(1), int64(0), int64(0), int64(100*sim.Microsecond), 0, int64(0), 0, int64(0), int64(0), 0, int64(0), 0, 0, int64(0))
+	f.Add(int64(99), int64(0), int64(5*sim.Millisecond), int64(300*sim.Microsecond), 4,
+		int64(200*sim.Microsecond), 6, int64(250*sim.Microsecond), int64(0), 3, int64(0), 0, 1, int64(sim.Microsecond))
+	f.Add(int64(1), int64(0), int64(0), int64(sim.Nanosecond), 0, int64(0), 0, int64(0), int64(0), 0, int64(0), 0, 0, int64(0))
+	f.Add(int64(1), int64(0), int64(0), int64(0), 0, int64(0), 0, int64(sim.Microsecond), int64(-sim.Microsecond), 0, int64(0), 0, 0, int64(0))
+	f.Add(int64(1), int64(0), int64(0), int64(sim.Millisecond), -2, int64(0), 0, int64(0), int64(0), 0, int64(sim.Millisecond), -100, 0, int64(0))
+	f.Fuzz(func(t *testing.T, seed, start, horizon, workerMTBF int64, maxKills int, regionMTBF int64, maxRegion int,
+		linkMTBF, linkDown int64, maxFlaps int, ckptInterval int64, ckptBytes, kind int, at int64) {
+		p := &Plan{
+			Seed: seed, Start: sim.Time(start), Horizon: sim.Time(horizon),
+			WorkerMTBF: sim.Time(workerMTBF), MaxKills: maxKills,
+			RegionMTBF: sim.Time(regionMTBF), MaxRegionFails: maxRegion,
+			LinkMTBF: sim.Time(linkMTBF), LinkDown: sim.Time(linkDown), MaxFlaps: maxFlaps,
+			Checkpoint: CheckpointConfig{Interval: sim.Time(ckptInterval), Bytes: ckptBytes},
+			Events:     []Event{{At: sim.Time(at), Kind: Kind(kind), Worker: -1, Row: -1, Col: -1, Level: -1}},
+		}
+		if p.Validate() != nil {
+			return
+		}
+		a := p.Schedule(shape)
+		if len(a) > MaxEvents {
+			t.Fatalf("accepted plan scheduled %d events, over the %d budget", len(a), MaxEvents)
+		}
+		if !reflect.DeepEqual(a, p.Schedule(shape)) {
+			t.Fatal("same plan produced different schedules")
+		}
+	})
 }

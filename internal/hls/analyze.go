@@ -645,6 +645,9 @@ func tripCount(f *For, bindings map[string]float64) (int64, error) {
 	default:
 		return 0, fmt.Errorf("hls: unsupported loop comparison %q", cond.Op)
 	}
+	if iters > maxCycles {
+		return 0, fmt.Errorf("hls: loop trip count %g exceeds %d", iters, int64(maxCycles))
+	}
 	if iters < 0 || math.IsNaN(iters) || math.IsInf(iters, 0) {
 		iters = 0
 	}

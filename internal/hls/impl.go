@@ -2,6 +2,7 @@ package hls
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ecoscale/internal/fabric"
@@ -24,6 +25,10 @@ type Directives struct {
 	// Pipeline enables modulo pipelining of innermost loops.
 	Pipeline bool
 }
+
+// MaxDirective caps Unroll, MemPorts and Share: unrolling copies the loop
+// body's dataflow graph, and the DSE explores factors up to 16.
+const MaxDirective = 64
 
 // DefaultDirectives returns the baseline implementation: no unrolling,
 // one memory port, pipelined.
@@ -116,6 +121,9 @@ func Synthesize(k *Kernel, dir Directives) (*Impl, error) {
 	}
 	if dir.Share <= 0 {
 		dir.Share = 1
+	}
+	if dir.Unroll > MaxDirective || dir.MemPorts > MaxDirective || dir.Share > MaxDirective {
+		return nil, fmt.Errorf("hls: directives %s: unroll, memory ports and sharing are each capped at %d", dir, MaxDirective)
 	}
 	te := newTypeEnv(k)
 	te.learn(k.Body)
@@ -252,11 +260,20 @@ func (im *Impl) Cycles(bindings map[string]float64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cycles + im.CallOverheadCycles, nil
+	if cycles > maxCycles {
+		return 0, fmt.Errorf("hls: %s: cycle estimate %g exceeds %d", im.Kernel.Name, cycles, int64(maxCycles))
+	}
+	return int64(cycles) + im.CallOverheadCycles, nil
 }
 
-func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, error) {
-	var total int64
+// maxCycles bounds a cycle estimate (and a loop's trip count) far beyond
+// any simulated run and below the int64 limit.
+const maxCycles = 1 << 60
+
+// blockCycles sums in float64, exact for integers below 2^53, so an
+// estimate too large for int64 is detected instead of wrapping.
+func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (float64, error) {
+	var total float64
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *LocalDecl:
@@ -266,7 +283,7 @@ func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, e
 			if lat == 0 {
 				lat = 1
 			}
-			total += int64(lat)
+			total += float64(lat)
 			if st.Index == nil {
 				// Track scalar values needed by inner trip counts
 				// (loop bounds depending on earlier assignments).
@@ -300,9 +317,9 @@ func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, e
 				// Innermost: pipelined or sequential.
 				iters := (trips + int64(im.Dir.Unroll) - 1) / int64(im.Dir.Unroll)
 				if im.Dir.Pipeline {
-					total += int64(info.depth) + (iters-1)*int64(info.ii)
+					total += float64(info.depth) + float64(iters-1)*float64(info.ii)
 				} else {
-					total += iters * int64(info.depth)
+					total += float64(iters) * float64(info.depth)
 				}
 				continue
 			}
@@ -317,7 +334,7 @@ func (im *Impl) blockCycles(stmts []Stmt, bindings map[string]float64) (int64, e
 			if err != nil {
 				return 0, err
 			}
-			total += trips * (body + 2)
+			total += float64(trips) * (body + 2)
 		}
 	}
 	return total, nil
@@ -330,7 +347,11 @@ func (im *Impl) Time(bindings map[string]float64) (sim.Time, error) {
 		return 0, err
 	}
 	nsPerCycle := 1000.0 / im.ClockMHz
-	return sim.Time(float64(cycles) * nsPerCycle * float64(sim.Nanosecond)), nil
+	ps := float64(cycles) * nsPerCycle * float64(sim.Nanosecond)
+	if ps >= math.MaxInt64 {
+		return 0, fmt.Errorf("hls: %d cycles at %g MHz overflow the simulated clock", cycles, im.ClockMHz)
+	}
+	return sim.Time(ps), nil
 }
 
 // Module returns the fabric module descriptor for placement.

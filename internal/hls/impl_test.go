@@ -134,6 +134,58 @@ func TestTimePositive(t *testing.T) {
 	}
 }
 
+// Directives past MaxDirective are rejected before the unrolled dataflow
+// graph is built; the default and the DSE's largest point still synthesize.
+func TestSynthesizeDirectiveBounds(t *testing.T) {
+	k := MustParse(srcVecAdd)
+	for _, c := range []struct {
+		dir Directives
+		ok  bool
+	}{
+		{DefaultDirectives(), true},
+		{Directives{Unroll: 16, MemPorts: 16, Share: 4, Pipeline: true}, true},
+		{Directives{Unroll: MaxDirective, MemPorts: MaxDirective, Share: MaxDirective}, true},
+		{Directives{Unroll: 100000000, MemPorts: 1, Share: 1}, false},
+		{Directives{Unroll: 1, MemPorts: MaxDirective + 1, Share: 1}, false},
+		{Directives{Unroll: 1, MemPorts: 1, Share: 1 << 40}, false},
+	} {
+		_, err := Synthesize(k, c.dir)
+		if (err == nil) != c.ok {
+			t.Errorf("Synthesize(%s): err = %v, want ok = %v", c.dir, err, c.ok)
+		}
+	}
+}
+
+// A problem size whose estimate cannot be represented is an error, not a
+// wrapped negative cycle count or time.
+func TestEstimateOverflow(t *testing.T) {
+	for _, c := range []struct {
+		src      string
+		n        float64
+		cyclesOK bool
+		timeOK   bool
+	}{
+		{srcVecAdd, 1e12, true, true},
+		{srcVecAdd, 1e15, true, false},
+		{srcMatMul, 1e4, true, true},
+		{srcMatMul, 1e7, false, false},
+	} {
+		im, err := Synthesize(MustParse(c.src), DefaultDirectives())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bind := map[string]float64{"N": c.n}
+		cycles, err := im.Cycles(bind)
+		if (err == nil) != c.cyclesOK || cycles < 0 {
+			t.Errorf("%s N=%g: Cycles = %d, %v; want ok = %v", im.Kernel.Name, c.n, cycles, err, c.cyclesOK)
+		}
+		d, err := im.Time(bind)
+		if (err == nil) != c.timeOK || d < 0 {
+			t.Errorf("%s N=%g: Time = %v, %v; want ok = %v", im.Kernel.Name, c.n, d, err, c.timeOK)
+		}
+	}
+}
+
 func TestModuleDescriptor(t *testing.T) {
 	k := MustParse(srcVecAdd)
 	im, _ := Synthesize(k, DefaultDirectives())
@@ -243,10 +295,17 @@ func TestTripCountShapes(t *testing.T) {
 }
 
 func TestTripCountErrors(t *testing.T) {
-	k := MustParse(`kernel f(global float* A, int N) { for (i = 0; i < M; i++) { A[0] = i; } }`)
-	loop := k.Body[0].(*For)
-	if _, err := tripCount(loop, map[string]float64{"N": 4}); err == nil {
-		t.Error("unbound loop bound should error")
+	for _, c := range []struct {
+		src string
+		n   float64
+	}{
+		{`kernel f(global float* A, int N) { for (i = 0; i < M; i++) { A[0] = i; } }`, 4}, // unbound M
+		{`kernel f(global float* A, int N) { for (i = 0; i < N; i++) { A[0] = i; } }`, 1e300},
+	} {
+		loop := MustParse(c.src).Body[0].(*For)
+		if got, err := tripCount(loop, map[string]float64{"N": c.n}); err == nil {
+			t.Errorf("tripCount(N=%g) = %d for %s, want an error", c.n, got, c.src)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@
 //   - the kernel determinism property test runs randomized schedule/cancel
 //     workloads against both this engine and the pooled 4-ary production
 //     kernel in internal/sim and requires identical traces, and
-//   - cmd/simbench benchmarks it on the same host as the production kernel
-//     so BENCH_sim.json always carries a fresh baseline ("old" numbers)
-//     next to the current ones.
+//   - BenchmarkKernelSpeedup in internal/sim times it against the
+//     production kernel on the same shapes, in the same run, and fails
+//     when the production kernel's speedup drops below a floor.
 //
 // It must stay semantically frozen: (at, seq) ordering, eager O(log n)
 // Cancel via heap.Remove, one heap allocation per scheduled event. Do not

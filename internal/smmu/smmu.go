@@ -99,6 +99,19 @@ type Config struct {
 	Stage1Levels, Stage2Levels int
 }
 
+// Validate returns the first problem with the config, or nil. Pages run
+// from 4 KiB, the smallest ARMv8 granule, to 1 GiB, the largest block a
+// 4 KiB-granule table maps.
+func (c Config) Validate() error {
+	if c.PageBits < 12 || c.PageBits > 30 {
+		return fmt.Errorf("smmu: PageBits = %d; pages must be 2^12 (4 KiB) to 2^30 (1 GiB) bytes", c.PageBits)
+	}
+	if c.TLBEntries <= 0 {
+		return fmt.Errorf("smmu: TLBEntries = %d; the TLB needs at least one entry", c.TLBEntries)
+	}
+	return nil
+}
+
 // DefaultConfig returns an ARM-MMU-500-flavoured configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -162,8 +175,8 @@ type SMMU struct {
 
 // New creates an SMMU.
 func New(cfg Config) *SMMU {
-	if cfg.PageBits <= 0 || cfg.TLBEntries <= 0 {
-		panic("smmu: invalid config")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &SMMU{
 		cfg:      cfg,

@@ -99,14 +99,22 @@ type Space struct {
 	reps    map[uint64]*replicaState
 }
 
+// Validate returns the first problem with the config, or nil.
+func (c Config) Validate() error {
+	if c.PageBytes <= 0 || c.PageBytes%mem.LineBytes != 0 {
+		return fmt.Errorf("unimem: PageBytes = %d; the page size must be a positive multiple of the %d-byte line size", c.PageBytes, mem.LineBytes)
+	}
+	return nil
+}
+
 // NewSpace creates a space over the network's workers. Per-worker
 // memory-side state (cache, DRAM channel, atomic unit, mailbox) is a
 // flyweight: the slice holds nil until the first access touching that
 // worker materializes it, so a 100k-worker space costs one pointer per
 // idle worker.
 func NewSpace(net *noc.Network, cfg Config, reg *trace.Registry) *Space {
-	if cfg.PageBytes <= 0 || cfg.PageBytes%mem.LineBytes != 0 {
-		panic("unimem: page size must be a positive multiple of the line size")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	n := net.Topology().NumWorkers()
 	s := &Space{net: net, cfg: cfg, reg: reg, pages: map[uint64]*page{}, next: 1}
