@@ -148,37 +148,59 @@ kernel f(global float* A, int N) {
 	}
 }
 
+// TestRunErrors pins every runtime error's exact text. Where one source
+// could fail two ways, the row fixes which check fires first.
 func TestRunErrors(t *testing.T) {
+	defer SetMaxIterations(1000)()
+	one := func() []Value { return []Value{B(make([]float64, 1)), S(3)} }
 	cases := map[string]struct {
 		src  string
 		args []Value
+		want string
 	}{
-		"arg count":       {srcVecAdd, []Value{S(1)}},
-		"buffer expected": {srcVecAdd, []Value{S(1), S(2), S(3), S(4)}},
+		"arg count":       {srcVecAdd, []Value{S(1)}, "hls: kernel vecadd takes 4 args, got 1"},
+		"buffer expected": {srcVecAdd, []Value{S(1), S(2), S(3), S(4)}, "hls: arg 0 (A) must be a buffer"},
 		"oob": {`kernel f(global float* A, int N) { A[N] = 1.0; }`,
-			[]Value{B(make([]float64, 2)), S(5)}},
+			[]Value{B(make([]float64, 2)), S(5)}, `hls: index 5 out of range for buffer "A" (len 2)`},
+		"negative index": {`kernel f(global float* A, int N) { A[0] = A[0 - N]; }`,
+			one(), `hls: index -3 out of range for buffer "A" (len 1)`},
 		"div zero": {`kernel f(global float* A, int N) { A[0] = 1.0 / (N - N); }`,
-			[]Value{B(make([]float64, 1)), S(3)}},
+			one(), "hls: division by zero"},
 		"mod zero": {`kernel f(global float* A, int N) { A[0] = 5 % (N - N); }`,
-			[]Value{B(make([]float64, 1)), S(3)}},
+			one(), "hls: modulo by zero"},
+		"mod fractional": {`kernel f(global float* A, int N) { A[0] = 5 % 0.5; }`,
+			one(), "hls: modulo by zero"},
 		"undef var": {`kernel f(global float* A, int N) { A[0] = q; }`,
-			[]Value{B(make([]float64, 1)), S(0)}},
+			one(), `hls: undefined variable "q"`},
+		"undef on untaken branch": {`kernel f(global float* A, int N) { if (N > 10) { float z = 1.0; } A[0] = z; }`,
+			one(), `hls: undefined variable "z"`},
 		"buffer as scalar": {`kernel f(global float* A, int N) { A[0] = A + 1.0; }`,
-			[]Value{B(make([]float64, 1)), S(0)}},
+			one(), `hls: buffer "A" used as scalar`},
 		"sqrt neg": {`kernel f(global float* A, int N) { A[0] = sqrt(0.0 - 1.0); }`,
-			[]Value{B(make([]float64, 1)), S(0)}},
+			one(), "hls: sqrt of negative -1"},
 		"log nonpos": {`kernel f(global float* A, int N) { A[0] = log(0.0); }`,
-			[]Value{B(make([]float64, 1)), S(0)}},
+			one(), "hls: log of non-positive 0"},
 		"scalar as buffer": {`kernel f(global float* A, int N) { A[0] = N[0]; }`,
-			[]Value{B(make([]float64, 1)), S(0)}},
+			one(), `hls: "N" is not a buffer`},
+		"not a buffer before index": {`kernel f(global float* A, int N) { A[0] = N[q]; }`,
+			one(), `hls: "N" is not a buffer`},
+		"value before target": {`kernel f(global float* A, int N) { Q[q] = r; }`,
+			one(), `hls: undefined variable "r"`},
+		"local shadows buffer": {`kernel f(global float* A, int N) { local float A[4]; }`,
+			one(), `hls: local array "A" shadows a buffer`},
+		"local shadows scalar": {`kernel f(global float* A, int N) { local float N[4]; }`,
+			one(), `hls: local array "N" shadows a scalar`},
+		"iteration budget": {`kernel f(global float* A, int N) { for (i = 0; i < 1; i = i * 1) { A[0] = i; } }`,
+			one(), "hls: kernel exceeded 1000 loop iterations"},
 	}
 	for name, c := range cases {
 		k, err := Parse(c.src)
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
-		if _, err := Run(k, c.args); err == nil {
-			t.Errorf("%s: expected runtime error", name)
+		_, err = Run(k, c.args)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", name, err, c.want)
 		}
 	}
 }
