@@ -596,11 +596,72 @@ func exprChainLatency(te *typeEnv, e Expr) int {
 	}
 }
 
-// constEval evaluates an expression over scalar bindings only (no
-// buffers); used for trip counts.
+// constEval folds an expression over scalar bindings only (no buffers)
+// for trip counts and cycle estimates. It shares the operator and
+// builtin semantics, and the error texts, of a compiled kernel, but
+// counts nothing, and allocates nothing so Impl.Time stays cheap.
 func constEval(e Expr, bindings map[string]float64) (float64, error) {
-	env := &env{scalars: bindings, buffers: map[string][]float64{}}
-	return env.eval(e)
+	switch ex := e.(type) {
+	case *Num:
+		return ex.Value, nil
+	case *Var:
+		if v, ok := bindings[ex.Name]; ok {
+			return v, nil
+		}
+		return 0, fmt.Errorf("hls: undefined variable %q", ex.Name)
+	case *Index:
+		return 0, fmt.Errorf("hls: %q is not a buffer", ex.Name)
+	case *Unary:
+		v, err := constEval(ex.X, bindings)
+		if err != nil {
+			return 0, err
+		}
+		if ex.Op == "!" {
+			return boolTo(v == 0), nil
+		}
+		return -v, nil
+	case *Binary:
+		l, err := constEval(ex.L, bindings)
+		if err != nil {
+			return 0, err
+		}
+		if ex.Op == "&&" || ex.Op == "||" {
+			if and := ex.Op == "&&"; and == (l == 0) {
+				return boolTo(!and), nil
+			}
+		}
+		r, err := constEval(ex.R, bindings)
+		if err != nil {
+			return 0, err
+		}
+		if ex.Op == "&&" || ex.Op == "||" {
+			return boolTo(r != 0), nil
+		}
+		op, ok := binOps[ex.Op]
+		if !ok {
+			return 0, fmt.Errorf("hls: unknown operator %q", ex.Op)
+		}
+		var uncounted frame
+		return uncounted.apply(op, l, r)
+	case *Call:
+		var args [2]float64
+		for i, a := range ex.Args {
+			v, err := constEval(a, bindings)
+			if err != nil {
+				return 0, err
+			}
+			if i < len(args) {
+				args[i] = v
+			}
+		}
+		fn, err := builtin(ex.Name, len(ex.Args))
+		if err != nil {
+			return 0, err
+		}
+		return fn(args[0], args[1])
+	default:
+		return 0, fmt.Errorf("hls: unknown expression %T", e)
+	}
 }
 
 // tripCount derives a loop's iteration count from its init/cond/post

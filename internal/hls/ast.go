@@ -10,14 +10,16 @@
 // partitioning and duplication, starting from a non-hardware specific
 // OpenCL model."
 //
-// The same AST is executed by a reference interpreter so that software
-// and hardware runs of a kernel produce identical results (verified by
-// the E14 end-to-end experiment).
+// The same AST also runs in software: Run compiles a kernel once, to
+// closures over slot-resolved scalars and buffers, then executes that
+// program on every call, so software and hardware runs of a kernel
+// produce identical results (verified by the E14 end-to-end experiment).
 package hls
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Type is a scalar element type.
@@ -50,12 +52,16 @@ func (p Param) String() string {
 	return fmt.Sprintf("%s %s", p.Type, p.Name)
 }
 
-// Kernel is a parsed kernel function.
+// Kernel is a parsed kernel function. Run compiles it on first use, so
+// it must not be modified once it has run.
 type Kernel struct {
 	Name   string
 	Params []Param
 	Body   []Stmt
 	Source string
+
+	once sync.Once
+	prog *program // compiled on first Run
 }
 
 func (k *Kernel) String() string {

@@ -47,7 +47,10 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzRun: an accepted kernel, run on small buffers under a tight
-// iteration budget, returns stats or an error.
+// iteration budget, returns stats or an error. A second run on fresh
+// arguments, and a run of the kernel reparsed from its printed form,
+// give the same stats, buffers and error text: the compiled program
+// carries no state between runs and depends only on the AST.
 func FuzzRun(f *testing.F) {
 	addKernelSeeds(f)
 	f.Cleanup(hls.SetMaxIterations(1 << 12))
@@ -61,18 +64,44 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		args := make([]hls.Value, len(k.Params))
-		for i, p := range k.Params {
-			if !p.IsBuffer {
-				args[i] = hls.S(4)
-				continue
-			}
-			buf := make([]float64, 64)
-			for j := range buf {
-				buf[j] = float64(j%5 - 1)
-			}
-			args[i] = hls.B(buf)
+		first := fuzzRun(k)
+		if again := fuzzRun(k); again != first {
+			t.Fatalf("second run differs:\n%+v\n%+v", first, again)
 		}
-		_, _ = hls.Run(k, args)
+		k2, err := hls.Parse(hls.Print(k))
+		if err != nil {
+			t.Fatalf("printed kernel does not reparse: %v", err)
+		}
+		if printed := fuzzRun(k2); printed != first {
+			t.Fatalf("reparsed kernel runs differently:\n%+v\n%+v\n%s", first, printed, hls.Print(k))
+		}
 	})
+}
+
+type fuzzResult struct {
+	stats hls.RunStats
+	sum   uint64 // bufSum of the arguments after the run
+	err   string
+}
+
+// fuzzRun runs k on fresh small arguments.
+func fuzzRun(k *hls.Kernel) fuzzResult {
+	args := make([]hls.Value, len(k.Params))
+	for i, p := range k.Params {
+		if !p.IsBuffer {
+			args[i] = hls.S(4)
+			continue
+		}
+		buf := make([]float64, 64)
+		for j := range buf {
+			buf[j] = float64(j%5 - 1)
+		}
+		args[i] = hls.B(buf)
+	}
+	st, err := hls.Run(k, args)
+	r := fuzzResult{stats: st, sum: bufSum(args)}
+	if err != nil {
+		r.err = err.Error()
+	}
+	return r
 }

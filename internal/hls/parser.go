@@ -43,8 +43,9 @@ func MustParse(src string) *Kernel {
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // blocks open around the current statement
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -143,6 +144,8 @@ func (p *parser) block() ([]Stmt, error) {
 	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
+	p.depth++
+	defer func() { p.depth-- }()
 	var stmts []Stmt
 	for p.cur().text != "}" {
 		if p.cur().kind == tokEOF {
@@ -178,8 +181,13 @@ func (p *parser) stmt() (Stmt, error) {
 	}
 }
 
-// localDecl parses "local float name[SIZE];".
+// localDecl parses "local float name[SIZE];". On-chip scratchpads are
+// allocated statically, so a declaration must sit at the kernel's top
+// level, not inside a loop or branch.
 func (p *parser) localDecl() (Stmt, error) {
+	if p.depth > 1 {
+		return nil, p.errf("local array must be declared at the kernel's top level")
+	}
 	p.pos++ // local
 	var typ Type
 	switch p.cur().text {

@@ -179,6 +179,8 @@ var parseErrorCases = map[string]string{
 	"missing semi":    `kernel f(int N) { int x = 1 }`,
 	"compound decl":   `kernel f(int N) { int x += 1; }`,
 	"bad assign":      `kernel f(int N) { x 1; }`,
+	"local in loop":   `kernel a(global float* A, int N) { for (i = 0; i < N; i++) { local float t[4]; t[0] = A[i]; A[i] = t[0]; } }`,
+	"local in branch": `kernel a(global float* A, int N) { if (N > 0) { local float t[4]; } }`,
 }
 
 func TestParseErrors(t *testing.T) {

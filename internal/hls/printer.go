@@ -98,7 +98,8 @@ func exprString(e Expr, parentPrec int) string {
 			}
 			return s
 		}
-		return strconv.FormatInt(int64(ex.Value), 10)
+		// Integer literals may exceed int64; print all their digits.
+		return strconv.FormatFloat(ex.Value, 'f', -1, 64)
 	case *Var:
 		return ex.Name
 	case *Index:

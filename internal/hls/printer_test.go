@@ -57,6 +57,20 @@ func TestPrintRoundtripSemantics(t *testing.T) {
 	}
 }
 
+// An integer literal too large for int64 prints with all its digits, so
+// it reparses to the same value.
+func TestPrintLargeIntLiteral(t *testing.T) {
+	k := MustParse(`kernel f(global float* A) { A[0] = 100000000000000000000; }`)
+	k2, err := Parse(Print(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := k2.Body[0].(*Assign).Value.(*Num).Value
+	if got != 1e20 {
+		t.Errorf("reparsed literal = %v, want 1e20\n%s", got, Print(k))
+	}
+}
+
 func TestPrintDesugars(t *testing.T) {
 	k := MustParse(`kernel f(global float* A, int N) { for (i = 0; i < N; i++) { A[i] += 1.0; } }`)
 	p := Print(k)

@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ecoscale/internal/hls"
 	"ecoscale/internal/sim"
@@ -45,8 +46,19 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workload: unknown kernel %q", name)
 }
 
-// Kernel parses the workload's source.
-func (w Workload) Kernel() *hls.Kernel { return hls.MustParse(w.Source) }
+// kernels memoizes Kernel by source, so every caller shares one parsed
+// kernel and hls.Run compiles it once.
+var kernels sync.Map // string → *hls.Kernel
+
+// Kernel returns the workload's parsed kernel. It is shared: callers
+// must not modify it.
+func (w Workload) Kernel() *hls.Kernel {
+	if k, ok := kernels.Load(w.Source); ok {
+		return k.(*hls.Kernel)
+	}
+	k, _ := kernels.LoadOrStore(w.Source, hls.MustParse(w.Source))
+	return k.(*hls.Kernel)
+}
 
 // RunSW executes the workload in software for size n and verifies the
 // result against the golden model, returning the dynamic op stats.
