@@ -106,31 +106,31 @@ type (
 type compiler struct {
 	slots map[string]int
 	lits  map[uint64]int // literal bits → slot
-	init  map[int]float64
-	n     int
+	init  []float64      // per slot: 0 for a name, the value for a literal
 	def   map[int]bool
 }
 
 func compile(k *Kernel) *program {
-	c := &compiler{slots: map[string]int{}, lits: map[uint64]int{}, init: map[int]float64{}, def: map[int]bool{}}
+	c := &compiler{slots: map[string]int{}, lits: map[uint64]int{}, def: map[int]bool{}}
 	for _, p := range k.Params {
 		i := c.slot(p.Name)
 		if !p.IsBuffer {
 			c.def[i] = true
 		}
 	}
-	p := &program{body: c.block(k.Body), init: make([]float64, c.n)}
-	for i, v := range c.init {
-		p.init[i] = v
-	}
-	return p
+	body := c.block(k.Body)
+	return &program{init: c.init, body: body}
+}
+
+func (c *compiler) newSlot(v float64) int {
+	c.init = append(c.init, v)
+	return len(c.init) - 1
 }
 
 func (c *compiler) slot(name string) int {
 	i, ok := c.slots[name]
 	if !ok {
-		i = c.n
-		c.n++
+		i = c.newSlot(0)
 		c.slots[name] = i
 	}
 	return i
@@ -144,10 +144,8 @@ func (c *compiler) operand(x Expr) (int, bool) {
 		bits := math.Float64bits(ex.Value)
 		i, ok := c.lits[bits]
 		if !ok {
-			i = c.n
-			c.n++
+			i = c.newSlot(ex.Value)
 			c.lits[bits] = i
-			c.init[i] = ex.Value
 		}
 		return i, true
 	case *Var:
