@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -353,5 +354,38 @@ func TestChainEmpty(t *testing.T) {
 	Chain(0, nil, Span{}, nil, func(error) { done = true })
 	if !done {
 		t.Error("empty chain did not complete")
+	}
+}
+
+// TestChainPreservesData checks that a chain's tail stream leaves the
+// chained span's bytes as they were: the stages model timing only, so
+// the write-out is an identity write-back.
+func TestChainPreservesData(t *testing.T) {
+	const size = 4096 + 1000
+	r := newRig(t, 2)
+	stages := []*Instance{
+		ensure(t, r, 0, mustImpl(t, srcScale, hls.DefaultDirectives())),
+		ensure(t, r, 1, mustImpl(t, strings.Replace(srcScale, "kernel scale", "kernel scaleb", 1), hls.DefaultDirectives())),
+	}
+	addr := r.space.Alloc(0, size)
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i*13 + 1)
+	}
+	r.space.Poke(addr, want[:4096])
+	r.space.Poke(addr+4096, want[4096:])
+	var done bool
+	Chain(0, stages, Span{addr, size}, map[string]float64{"N": 16}, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = true
+	})
+	r.eng.RunUntilIdle()
+	if !done {
+		t.Fatal("chain never completed")
+	}
+	if got := r.space.PeekRange(addr, size); !bytes.Equal(got, want) {
+		t.Error("chain overwrote the span it streams")
 	}
 }

@@ -46,7 +46,7 @@ func scenA1() runner.Scenario {
 						space := unimem.NewSpace(net, unimem.DefaultConfig(), nil)
 						addr := space.Alloc(4, 65536)
 						var lat sim.Time
-						space.StreamRead(0, addr, 65536, window, func([]byte) { lat = eng.Now() })
+						space.StreamFetch(0, addr, 65536, window, func() { lat = eng.Now() })
 						eng.RunUntilIdle()
 						return runner.V(sweepResult{X: window, T: lat}), nil
 					},
@@ -93,9 +93,9 @@ func scenA2() runner.Scenario {
 							eng.RunUntilIdle()
 						}
 						var first, second sim.Time
-						space.StreamRead(0, addr, 65536, 8, func([]byte) {
+						space.StreamFetch(0, addr, 65536, 8, func() {
 							first = eng.Now()
-							space.StreamRead(0, addr, 65536, 8, func([]byte) { second = eng.Now() - first })
+							space.StreamFetch(0, addr, 65536, 8, func() { second = eng.Now() - first })
 						})
 						eng.RunUntilIdle()
 						label := "cache disabled"
@@ -227,7 +227,7 @@ func scenA5() runner.Scenario {
 						addr := space.Alloc(0, 65536)
 						done := 0
 						for w := 1; w < 8; w++ {
-							space.StreamRead(w, addr, 65536, 8, func([]byte) { done++ })
+							space.StreamFetch(w, addr, 65536, 8, func() { done++ })
 						}
 						end := eng.RunUntilIdle()
 						if done != 7 {

@@ -277,10 +277,22 @@ func NewDRAM(eng *sim.Engine, cfg DRAMConfig) *DRAM {
 
 // Access reads or writes size bytes, calling done when the data has moved.
 func (d *DRAM) Access(size int, done func()) {
+	d.banks.Use(d.account(size), done)
+}
+
+// AccessCall is Access with a static-function completion: fn(arg) runs
+// when the data has moved, with no closure at the call site.
+func (d *DRAM) AccessCall(size int, fn func(any), arg any) {
+	d.banks.UseCall(d.account(size), fn, arg)
+}
+
+// account counts one access of size bytes and returns how long it holds
+// a bank.
+func (d *DRAM) account(size int) sim.Time {
 	d.accesses++
 	d.bytes += uint64(size)
 	transfer := sim.Time(float64(size) / d.cfg.BytesPerNs * float64(sim.Nanosecond))
-	d.banks.Use(d.cfg.AccessLatency+transfer, done)
+	return d.cfg.AccessLatency + transfer
 }
 
 // Accesses returns the access count.

@@ -129,12 +129,9 @@ func (b *Buffer) Peek() []float64 {
 func (b *Buffer) Write(fromWorker int, host []float64, deps []*Event) *Event {
 	ev := newEvent(b.ctx.p.M.Eng)
 	after(deps, func() {
+		// The data plane is the Poke; the stream times the stores.
 		b.Poke(host)
-		data := make([]byte, len(host)*8)
-		for i, v := range host {
-			binary.LittleEndian.PutUint64(data[i*8:], math.Float64bits(v))
-		}
-		b.ctx.p.M.Space.StreamWrite(fromWorker, b.addr, data, 8, func() { ev.complete(nil) })
+		b.ctx.p.M.Space.StreamWriteback(fromWorker, b.addr, len(host)*8, 8, func() { ev.complete(nil) })
 	})
 	return ev
 }
@@ -144,7 +141,7 @@ func (b *Buffer) Write(fromWorker int, host []float64, deps []*Event) *Event {
 func (b *Buffer) Read(toWorker int, deps []*Event) *Event {
 	ev := newEvent(b.ctx.p.M.Eng)
 	after(deps, func() {
-		b.ctx.p.M.Space.StreamRead(toWorker, b.addr, b.Bytes(), 8, func([]byte) {
+		b.ctx.p.M.Space.StreamFetch(toWorker, b.addr, b.Bytes(), 8, func() {
 			ev.Data = b.Peek()
 			ev.complete(nil)
 		})

@@ -7,47 +7,119 @@ import (
 )
 
 // Bulk and streaming helpers: accelerators and software kernels move data
-// through the space in line-granular pipelined streams; these helpers
-// split arbitrary spans across page boundaries and keep a bounded number
-// of requests in flight.
+// through the space in line-granular pipelined streams. One pooled
+// streamOp walks the span with a cursor, cutting it into line-sized
+// accesses that never cross a page boundary and keeping at most window of
+// them in flight.
 
-// splitSpan cuts [addr, addr+size) into page-local chunks of at most
-// chunk bytes.
-func (s *Space) splitSpan(addr uint64, size, chunk int) []span {
-	if chunk <= 0 {
-		chunk = mem.LineBytes
-	}
-	var out []span
+// PeekRange reads size bytes starting at addr with no timing, across page
+// boundaries; for result verification.
+func (s *Space) PeekRange(addr uint64, size int) []byte {
+	out := make([]byte, 0, size)
 	for size > 0 {
-		pageRem := s.cfg.PageBytes - int(addr%uint64(s.cfg.PageBytes))
-		n := size
-		if n > pageRem {
-			n = pageRem
-		}
-		if n > chunk {
-			n = chunk
-		}
-		out = append(out, span{addr: addr, size: n})
+		n := min(size, s.pageRemaining(addr))
+		out = append(out, s.Peek(addr, n)...)
 		addr += uint64(n)
 		size -= n
 	}
 	return out
 }
 
-type span struct {
-	addr uint64
-	size int
+// pageRemaining returns the bytes from addr to the end of its page.
+func (s *Space) pageRemaining(addr uint64) int {
+	return s.cfg.PageBytes - int(addr%uint64(s.cfg.PageBytes))
 }
 
-// PeekRange reads size bytes starting at addr with no timing, splitting
-// across page boundaries; for result verification and identity
-// write-back streams.
-func (s *Space) PeekRange(addr uint64, size int) []byte {
-	out := make([]byte, 0, size)
-	for _, sp := range s.splitSpan(addr, size, s.cfg.PageBytes) {
-		out = append(out, s.Peek(sp.addr, sp.size)...)
+// streamOp is one pooled stream. Lines issue in address order: window of
+// them at the start, then one from each completion, which is the order a
+// window-token resource handing its token to the next queued line gives.
+// No line completes inside its own issue (every §4.1 path ends in an
+// event), so the issue chain never recurses and needs no unwinding.
+type streamOp struct {
+	s        *Space
+	node     int
+	base     uint64 // first byte of the span
+	addr     uint64 // next line to issue
+	left     int    // bytes not yet issued
+	inFlight int    // lines issued and not yet completed
+	write    bool
+	src      []byte // StreamWrite: stored line by line as each issues
+	buf      []byte // StreamRead: filled line by line as each is delivered
+	name     string
+	start    sim.Time
+	done     func()
+	data     func([]byte)
+	next     *streamOp
+}
+
+func (s *Space) newStream(node int, addr uint64, size int, write bool) *streamOp {
+	op := s.streamFree
+	if op != nil {
+		s.streamFree = op.next
+	} else {
+		op = &streamOp{}
 	}
-	return out
+	name := "stream-read"
+	if write {
+		name = "stream-write"
+	}
+	*op = streamOp{s: s, node: node, base: addr, addr: addr, left: size, write: write,
+		name: name, start: s.Engine().Now()}
+	return op
+}
+
+// run issues the stream's first window of lines.
+func (op *streamOp) run(window int) {
+	if window <= 0 {
+		window = 1
+	}
+	for op.inFlight < window && op.left > 0 {
+		op.issueLine()
+	}
+}
+
+// issueLine issues the line at the cursor: at most one cache line, never
+// past the end of its page.
+func (op *streamOp) issueLine() {
+	s := op.s
+	n := min(op.left, mem.LineBytes, s.pageRemaining(op.addr))
+	l := s.newLine(op.node, op.addr, n)
+	l.fn, l.arg = streamLineDone, op
+	at := op.addr - op.base
+	if op.buf != nil {
+		l.dst = op.buf[at : at+uint64(n)]
+	}
+	if op.src != nil {
+		copy(l.p.data[l.off:], op.src[at:at+uint64(n)]) // data plane: applied at issue
+	}
+	addr := op.addr
+	op.addr += uint64(n)
+	op.left -= n
+	op.inFlight++
+	s.issue(l, addr, op.write)
+}
+
+// streamLineDone issues the next line into the freed window slot, then
+// completes the stream when no line is left in flight.
+func streamLineDone(a any) {
+	op := a.(*streamOp)
+	op.inFlight--
+	if op.left > 0 {
+		op.issueLine()
+	}
+	if op.inFlight > 0 {
+		return
+	}
+	s := op.s
+	s.observeStream(op.node, op.name, op.start, int(op.addr-op.base))
+	done, data, buf := op.done, op.data, op.buf
+	*op = streamOp{next: s.streamFree} // recycle first: done may start a stream
+	s.streamFree = op
+	if data != nil {
+		data(buf)
+	} else if done != nil {
+		done()
+	}
 }
 
 // StreamRead reads size bytes starting at addr on behalf of worker node,
@@ -60,32 +132,26 @@ func (s *Space) StreamRead(node int, addr uint64, size, window int, done func(da
 		}
 		return
 	}
-	if window <= 0 {
-		window = 1
+	op := s.newStream(node, addr, size, false)
+	if done != nil {
+		op.buf, op.data = make([]byte, size), done
 	}
-	eng := s.Engine()
-	start := eng.Now()
-	spans := s.splitSpan(addr, size, mem.LineBytes)
-	buf := make([]byte, size)
-	wg := sim.NewWaitGroup(eng, len(spans))
-	inFlight := sim.NewResource(eng, "stream-read", window)
-	base := addr
-	for _, sp := range spans {
-		sp := sp
-		inFlight.Acquire(func() {
-			s.Read(node, sp.addr, sp.size, func(data []byte) {
-				copy(buf[sp.addr-base:], data)
-				inFlight.Release()
-				wg.DoneOne()
-			})
-		})
-	}
-	wg.Wait(func() {
-		s.observeStream(node, "stream-read", start, size)
+	op.run(window)
+}
+
+// StreamFetch is StreamRead for a caller that does not use the bytes: the
+// same pipelined load traffic, timing and counters, with no destination
+// buffer. done runs when the last line has arrived.
+func (s *Space) StreamFetch(node int, addr uint64, size, window int, done func()) {
+	if size <= 0 {
 		if done != nil {
-			done(buf)
+			done()
 		}
-	})
+		return
+	}
+	op := s.newStream(node, addr, size, false)
+	op.done = done
+	op.run(window)
 }
 
 // observeStream records one completed stream as a DMA span and a
@@ -96,8 +162,8 @@ func (s *Space) observeStream(node int, name string, start sim.Time, size int) {
 		Start: int64(start), End: int64(now),
 		PID: trace.WorkerPID(node), TID: trace.TIDDMA, Arg: int64(size)})
 	if s.reg != nil {
-		trace.LatencyHistogram(s.reg, "lat.dma_us").Observe((now - start).Micros())
-		s.reg.Counter("unimem.stream_bytes").Add(uint64(size))
+		s.latency(&s.latDMA, "lat.dma_us").Observe((now - start).Micros())
+		s.counter(ctrStreamBytes).Add(uint64(size))
 	}
 }
 
@@ -110,30 +176,9 @@ func (s *Space) StreamWrite(node int, addr uint64, data []byte, window int, done
 		}
 		return
 	}
-	if window <= 0 {
-		window = 1
-	}
-	eng := s.Engine()
-	start := eng.Now()
-	spans := s.splitSpan(addr, len(data), mem.LineBytes)
-	wg := sim.NewWaitGroup(eng, len(spans))
-	inFlight := sim.NewResource(eng, "stream-write", window)
-	base := addr
-	for _, sp := range spans {
-		sp := sp
-		inFlight.Acquire(func() {
-			s.Write(node, sp.addr, data[sp.addr-base:uint64(sp.size)+sp.addr-base], func() {
-				inFlight.Release()
-				wg.DoneOne()
-			})
-		})
-	}
-	wg.Wait(func() {
-		s.observeStream(node, "stream-write", start, len(data))
-		if done != nil {
-			done()
-		}
-	})
+	op := s.newStream(node, addr, len(data), true)
+	op.src, op.done = data, done
+	op.run(window)
 }
 
 // StreamWriteback is StreamWrite for an identity write-back: the same
@@ -146,27 +191,7 @@ func (s *Space) StreamWriteback(node int, addr uint64, size, window int, done fu
 		}
 		return
 	}
-	if window <= 0 {
-		window = 1
-	}
-	eng := s.Engine()
-	start := eng.Now()
-	spans := s.splitSpan(addr, size, mem.LineBytes)
-	wg := sim.NewWaitGroup(eng, len(spans))
-	inFlight := sim.NewResource(eng, "stream-write", window)
-	for _, sp := range spans {
-		sp := sp
-		inFlight.Acquire(func() {
-			s.WriteBack(node, sp.addr, sp.size, func() {
-				inFlight.Release()
-				wg.DoneOne()
-			})
-		})
-	}
-	wg.Wait(func() {
-		s.observeStream(node, "stream-write", start, size)
-		if done != nil {
-			done()
-		}
-	})
+	op := s.newStream(node, addr, size, true)
+	op.done = done
+	op.run(window)
 }

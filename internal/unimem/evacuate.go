@@ -84,7 +84,7 @@ func (s *Space) evacuatePage(pageNo uint64, to int, done func()) {
 		}
 	}
 	old := p.Owner()
-	s.count("evacuations")
+	s.count(ctrEvacuations)
 	start := s.Engine().Now()
 	finish := func() {
 		p.setHome(to)

@@ -51,7 +51,7 @@ func (s *Space) Replicate(addr uint64, w int, done func()) {
 		}
 		return
 	}
-	s.count("replications")
+	s.count(ctrReplications)
 	s.net.DMATransfer(p.Owner(), w, s.cfg.PageBytes, noc.DefaultDMAConfig(), func() {
 		s.wm(w).dram.Access(s.cfg.PageBytes, func() {
 			r.holders[w] = true
@@ -129,7 +129,7 @@ func (s *Space) dropReplicas(node int, addr uint64, done func()) {
 		return
 	}
 	holders := sortedHolders(r.holders)
-	s.count("replica_invalidations")
+	s.count(ctrReplicaInvalidations)
 	wg := sim.NewWaitGroup(s.Engine(), len(holders))
 	for _, h := range holders {
 		h := h
@@ -164,11 +164,11 @@ func (s *Space) ReplicatedRead(node int, addr uint64, size int, done func(data [
 		}
 	}
 	if src == node {
-		s.count("replica_local_reads")
+		s.count(ctrReplicaLocalReads)
 		s.wm(node).dram.Access(size, deliver)
 		return
 	}
-	s.count("replica_remote_reads")
+	s.count(ctrReplicaRemoteReads)
 	s.net.Send(node, src, s.cfg.CtrlBytes, noc.Load, func() {
 		s.wm(src).dram.Access(size, func() {
 			s.net.Send(src, node, size, noc.Load, deliver)

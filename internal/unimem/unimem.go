@@ -97,6 +97,13 @@ type Space struct {
 	workers []*workerMem
 	next    uint64 // next free page number
 	reps    map[uint64]*replicaState
+
+	// Registry series, looked up on first use (see counter).
+	ctrs           [numCounters]*trace.Counter
+	latDMA, latCoh *trace.Histogram
+
+	lineFree   *lineOp
+	streamFree *streamOp
 }
 
 // Validate returns the first problem with the config, or nil.
@@ -158,10 +165,73 @@ func (s *Space) Cache(w int) *mem.Cache { return s.wm(w).cache }
 // DRAM returns worker w's DRAM channel.
 func (s *Space) DRAM(w int) *mem.DRAM { return s.wm(w).dram }
 
-// count bumps the space counter unimem.<name>.
-func (s *Space) count(name string) {
+// counter names one unimem.* registry counter.
+type counter int
+
+const (
+	ctrCacheHits counter = iota
+	ctrCacheFills
+	ctrLocalUncached
+	ctrRemoteReads
+	ctrRemoteWrites
+	ctrWritebacks
+	ctrCacherMoves
+	ctrAtomics
+	ctrNotifies
+	ctrMigrations
+	ctrEvacuations
+	ctrReplications
+	ctrReplicaInvalidations
+	ctrReplicaLocalReads
+	ctrReplicaRemoteReads
+	ctrStreamBytes
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	ctrCacheHits:            "unimem.cache_hits",
+	ctrCacheFills:           "unimem.cache_fills",
+	ctrLocalUncached:        "unimem.local_uncached",
+	ctrRemoteReads:          "unimem.remote_reads",
+	ctrRemoteWrites:         "unimem.remote_writes",
+	ctrWritebacks:           "unimem.writebacks",
+	ctrCacherMoves:          "unimem.cacher_moves",
+	ctrAtomics:              "unimem.atomics",
+	ctrNotifies:             "unimem.notifies",
+	ctrMigrations:           "unimem.migrations",
+	ctrEvacuations:          "unimem.evacuations",
+	ctrReplications:         "unimem.replications",
+	ctrReplicaInvalidations: "unimem.replica_invalidations",
+	ctrReplicaLocalReads:    "unimem.replica_local_reads",
+	ctrReplicaRemoteReads:   "unimem.replica_remote_reads",
+	ctrStreamBytes:          "unimem.stream_bytes",
+}
+
+// counter returns registry counter c, looking it up on first use: the
+// registry lists only the series a run touched, so they cannot be
+// created up front. The space must have a registry.
+func (s *Space) counter(c counter) *trace.Counter {
+	ctr := s.ctrs[c]
+	if ctr == nil {
+		ctr = s.reg.Counter(counterNames[c])
+		s.ctrs[c] = ctr
+	}
+	return ctr
+}
+
+// latency returns the latency histogram cached in *h, looking it up on
+// first use like counter.
+func (s *Space) latency(h **trace.Histogram, name string) *trace.Histogram {
+	if *h == nil {
+		*h = trace.LatencyHistogram(s.reg, name)
+	}
+	return *h
+}
+
+// count bumps counter c when the space has a registry.
+func (s *Space) count(c counter) {
 	if s.reg != nil {
-		s.reg.Counter("unimem." + name).Inc()
+		s.counter(c).Inc()
 	}
 }
 
@@ -233,7 +303,7 @@ func (s *Space) SetCacher(addr uint64, node int, done func()) {
 	if om := s.workers[old]; om != nil {
 		_, dirty = om.cache.InvalidateRange(pageBase, s.cfg.PageBytes)
 	}
-	s.count("cacher_moves")
+	s.count(ctrCacherMoves)
 	finish := func() {
 		p.cacher = int32(node)
 		if done != nil {
@@ -271,7 +341,7 @@ func (s *Space) observeCoh(node int, name string, start sim.Time, bytes int64) {
 		Start: int64(start), End: int64(now),
 		PID: trace.WorkerPID(node), TID: trace.TIDDMA, Arg: bytes})
 	if s.reg != nil {
-		trace.LatencyHistogram(s.reg, "lat.coh_us").Observe((now - start).Micros())
+		s.latency(&s.latCoh, "lat.coh_us").Observe((now - start).Micros())
 	}
 }
 
@@ -285,47 +355,12 @@ func (s *Space) observeCoh(node int, name string, start sim.Time, bytes int64) {
 //   - otherwise: uncached remote load — a round trip to the owner.
 func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 	s.checkSpan(addr, size)
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	off := addr % uint64(s.cfg.PageBytes)
-	w := s.wm(node)
-	deliver := func() {
-		if done != nil {
-			buf := make([]byte, size)
-			copy(buf, p.data[off:])
-			done(buf)
-		}
+	l := s.newLine(node, addr, size)
+	if done != nil {
+		buf := make([]byte, size)
+		l.dst, l.done = buf, func() { done(buf) }
 	}
-	switch {
-	case p.Cacher() == node:
-		res := w.cache.Access(addr, false)
-		s.handleEviction(node, p, res)
-		if res.Hit {
-			s.count("cache_hits")
-			s.Engine().After(s.cfg.CacheCfg.HitLatency, deliver)
-			return
-		}
-		s.count("cache_fills")
-		if owner == node {
-			w.dram.Access(mem.LineBytes, deliver)
-			return
-		}
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(mem.LineBytes, func() {
-				s.net.Send(owner, node, mem.LineBytes, noc.Load, deliver)
-			})
-		})
-	case owner == node:
-		s.count("local_uncached")
-		w.dram.Access(size, deliver)
-	default:
-		s.count("remote_reads")
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(size, func() {
-				s.net.Send(owner, node, size, noc.Load, deliver)
-			})
-		})
-	}
+	s.issue(l, addr, false)
 }
 
 // Write performs a store of data at addr by worker node. done runs when
@@ -333,48 +368,10 @@ func (s *Space) Read(node int, addr uint64, size int, done func(data []byte)) {
 // legal cache).
 func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 	s.checkSpan(addr, len(data))
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	off := addr % uint64(s.cfg.PageBytes)
-	w := s.wm(node)
-	copy(p.data[off:], data) // data plane: applied immediately (see package doc)
-	finish := func() {
-		if done != nil {
-			done()
-		}
-	}
-	switch {
-	case p.Cacher() == node:
-		res := w.cache.Access(addr, true)
-		s.handleEviction(node, p, res)
-		if res.Hit {
-			s.count("cache_hits")
-			s.Engine().After(s.cfg.CacheCfg.HitLatency, finish)
-			return
-		}
-		s.count("cache_fills")
-		if owner == node {
-			w.dram.Access(mem.LineBytes, finish)
-			return
-		}
-		// Write-allocate: fetch the line, then dirty it locally.
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(mem.LineBytes, func() {
-				s.net.Send(owner, node, mem.LineBytes, noc.Load, finish)
-			})
-		})
-	case owner == node:
-		s.count("local_uncached")
-		w.dram.Access(len(data), finish)
-	default:
-		s.count("remote_writes")
-		// Uncached remote store: posted write + ack.
-		s.net.Send(node, owner, len(data)+s.cfg.CtrlBytes, noc.Store, func() {
-			s.wm(owner).dram.Access(len(data), func() {
-				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Store, finish)
-			})
-		})
-	}
+	l := s.newLine(node, addr, len(data))
+	copy(l.p.data[l.off:], data) // data plane: applied immediately (see package doc)
+	l.done = done
+	s.issue(l, addr, true)
 }
 
 // WriteBack performs the timed store path of Write for size bytes at
@@ -384,50 +381,149 @@ func (s *Space) Write(node int, addr uint64, data []byte, done func()) {
 // themselves would change nothing.
 func (s *Space) WriteBack(node int, addr uint64, size int, done func()) {
 	s.checkSpan(addr, size)
+	l := s.newLine(node, addr, size)
+	l.done = done
+	s.issue(l, addr, true)
+}
+
+// ReadWord loads a 64-bit little-endian word.
+func (s *Space) ReadWord(node int, addr uint64, done func(v uint64)) {
+	s.checkSpan(addr, 8)
+	l := s.newLine(node, addr, 8)
+	l.word = done
+	s.issue(l, addr, false)
+}
+
+// WriteWord stores a 64-bit little-endian word.
+func (s *Space) WriteWord(node int, addr uint64, v uint64, done func()) {
+	s.checkSpan(addr, 8)
+	l := s.newLine(node, addr, 8)
+	binary.LittleEndian.PutUint64(l.p.data[l.off:], v)
+	l.done = done
+	s.issue(l, addr, true)
+}
+
+// lineOp is one pooled page-local access walking a §4.1 timing path
+// through static callbacks. Its completion is fn(arg), done() or
+// word(v), whichever is set; dst, when set, receives the bytes at
+// delivery.
+type lineOp struct {
+	s     *Space
+	p     *page
+	off   uint64 // offset of the access in its page
+	node  int
+	owner int
+	size  int      // bytes moved at the owner's DRAM
+	resp  int      // bytes of the owner's response
+	kind  noc.Kind // class of the request and its response
+	dst   []byte
+	fn    func(any)
+	arg   any
+	done  func()
+	word  func(uint64)
+	next  *lineOp
+}
+
+// newLine takes a lineOp from the free list for an access of size bytes
+// at addr by node; the owner is fixed at issue, as the request leaves.
+func (s *Space) newLine(node int, addr uint64, size int) *lineOp {
 	p := s.pageOf(addr)
-	owner := p.Owner()
-	w := s.wm(node)
-	finish := func() {
-		if done != nil {
-			done()
-		}
+	l := s.getLine()
+	l.s, l.p, l.off = s, p, addr%uint64(s.cfg.PageBytes)
+	l.node, l.owner, l.size = node, p.Owner(), size
+	return l
+}
+
+// getLine pops a cleared lineOp off the free list.
+func (s *Space) getLine() *lineOp {
+	l := s.lineFree
+	if l == nil {
+		return &lineOp{}
 	}
+	s.lineFree, l.next = l.next, nil
+	return l
+}
+
+func (s *Space) putLine(l *lineOp) {
+	*l = lineOp{next: s.lineFree}
+	s.lineFree = l
+}
+
+// issue starts the access at addr on the path its node's relationship
+// to the page selects. A store is timed like a load on every cached
+// path (write-allocate: fetch the line, then dirty it locally); only the
+// uncached remote store differs, as a posted write plus an ack.
+func (s *Space) issue(l *lineOp, addr uint64, write bool) {
+	node, owner := l.node, l.owner
+	w := s.wm(node)
 	switch {
-	case p.Cacher() == node:
-		res := w.cache.Access(addr, true)
-		s.handleEviction(node, p, res)
+	case l.p.Cacher() == node:
+		res := w.cache.Access(addr, write)
+		s.handleEviction(node, res)
 		if res.Hit {
-			s.count("cache_hits")
-			s.Engine().After(s.cfg.CacheCfg.HitLatency, finish)
+			s.count(ctrCacheHits)
+			s.Engine().AfterCall(s.cfg.CacheCfg.HitLatency, lineDeliver, l)
 			return
 		}
-		s.count("cache_fills")
+		s.count(ctrCacheFills)
 		if owner == node {
-			w.dram.Access(mem.LineBytes, finish)
+			w.dram.AccessCall(mem.LineBytes, lineDeliver, l)
 			return
 		}
-		s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Load, func() {
-			s.wm(owner).dram.Access(mem.LineBytes, func() {
-				s.net.Send(owner, node, mem.LineBytes, noc.Load, finish)
-			})
-		})
+		l.size, l.resp, l.kind = mem.LineBytes, mem.LineBytes, noc.Load
+		s.net.SendCall(node, owner, s.cfg.CtrlBytes, noc.Load, lineAtOwner, l)
 	case owner == node:
-		s.count("local_uncached")
-		w.dram.Access(size, finish)
+		s.count(ctrLocalUncached)
+		w.dram.AccessCall(l.size, lineDeliver, l)
+	case write:
+		s.count(ctrRemoteWrites)
+		l.resp, l.kind = s.cfg.CtrlBytes, noc.Store
+		s.net.SendCall(node, owner, l.size+s.cfg.CtrlBytes, noc.Store, lineAtOwner, l)
 	default:
-		s.count("remote_writes")
-		s.net.Send(node, owner, size+s.cfg.CtrlBytes, noc.Store, func() {
-			s.wm(owner).dram.Access(size, func() {
-				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Store, finish)
-			})
-		})
+		s.count(ctrRemoteReads)
+		l.resp, l.kind = l.size, noc.Load
+		s.net.SendCall(node, owner, s.cfg.CtrlBytes, noc.Load, lineAtOwner, l)
+	}
+}
+
+// lineAtOwner serves a request that reached the owner from its DRAM.
+func lineAtOwner(a any) {
+	l := a.(*lineOp)
+	l.s.wm(l.owner).dram.AccessCall(l.size, lineRespond, l)
+}
+
+// lineRespond sends the owner's response back to the requester.
+func lineRespond(a any) {
+	l := a.(*lineOp)
+	l.s.net.SendCall(l.owner, l.node, l.resp, l.kind, lineDeliver, l)
+}
+
+// lineDeliver completes the access at the requester.
+func lineDeliver(a any) {
+	l := a.(*lineOp)
+	if l.dst != nil {
+		copy(l.dst, l.p.data[l.off:])
+	}
+	var v uint64
+	if l.word != nil {
+		v = binary.LittleEndian.Uint64(l.p.data[l.off:])
+	}
+	fn, arg, done, word := l.fn, l.arg, l.done, l.word
+	l.s.putLine(l) // recycle first: the completion may issue the next line
+	switch {
+	case fn != nil:
+		fn(arg)
+	case done != nil:
+		done()
+	case word != nil:
+		word(v)
 	}
 }
 
 // handleEviction charges the write-back cost of a dirty eviction from
 // node's cache: to local DRAM when node owns the victim page, or across
 // the interconnect to the victim's owner.
-func (s *Space) handleEviction(node int, _ *page, res mem.AccessResult) {
+func (s *Space) handleEviction(node int, res mem.AccessResult) {
 	if !res.Evicted || !res.WritebackNeeded {
 		return
 	}
@@ -435,31 +531,23 @@ func (s *Space) handleEviction(node int, _ *page, res mem.AccessResult) {
 	if !ok {
 		return
 	}
-	s.count("writebacks")
+	s.count(ctrWritebacks)
 	vo := vp.Owner()
 	if vo == node {
-		s.wm(node).dram.Access(mem.LineBytes, nil)
+		s.wm(node).dram.AccessCall(mem.LineBytes, nil, nil)
 		return
 	}
-	s.net.Send(node, vo, mem.LineBytes, noc.Store, func() {
-		s.wm(vo).dram.Access(mem.LineBytes, nil)
-	})
+	l := s.getLine()
+	l.s, l.owner = s, vo
+	s.net.SendCall(node, vo, mem.LineBytes, noc.Store, evictAtOwner, l)
 }
 
-// ReadWord loads a 64-bit little-endian word.
-func (s *Space) ReadWord(node int, addr uint64, done func(v uint64)) {
-	s.Read(node, addr, 8, func(b []byte) {
-		if done != nil {
-			done(binary.LittleEndian.Uint64(b))
-		}
-	})
-}
-
-// WriteWord stores a 64-bit little-endian word.
-func (s *Space) WriteWord(node int, addr uint64, v uint64, done func()) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.Write(node, addr, b[:], done)
+// evictAtOwner lands a written-back line in its owner's DRAM.
+func evictAtOwner(a any) {
+	l := a.(*lineOp)
+	s, owner := l.s, l.owner
+	s.putLine(l)
+	s.wm(owner).dram.AccessCall(mem.LineBytes, nil, nil)
 }
 
 // Peek reads data directly from the backing store with no timing; for
@@ -524,7 +612,7 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 			})
 		})
 	}
-	s.count("atomics")
+	s.count(ctrAtomics)
 	if node == owner {
 		exec()
 		return
@@ -536,7 +624,7 @@ func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done
 // "messages to synchronize remote threads" of §4.1), raising the
 // mailbox as an interrupt-class transaction.
 func (s *Space) Notify(src, dst int, payload uint64, done func()) {
-	s.count("notifies")
+	s.count(ctrNotifies)
 	s.net.Send(src, dst, s.cfg.CtrlBytes, noc.Interrupt, func() {
 		s.wm(dst).mbox.Push(Message{From: src, Payload: payload})
 		if done != nil {
@@ -567,7 +655,7 @@ func (s *Space) MigratePage(addr uint64, newOwner int, done func()) {
 		return
 	}
 	origOwner := p.Owner()
-	s.count("migrations")
+	s.count(ctrMigrations)
 	start := s.Engine().Now()
 	s.SetCacher(addr, origOwner, func() {
 		old := p.Owner()

@@ -317,9 +317,30 @@ func TestStreamEmpty(t *testing.T) {
 		}
 	})
 	s.StreamWrite(0, 0, nil, 4, func() { ok++ })
+	s.StreamFetch(0, 0, 0, 4, func() { ok++ })
+	s.StreamWriteback(0, 0, 0, 4, func() { ok++ })
 	eng.RunUntilIdle()
-	if ok != 2 {
+	if ok != 4 {
 		t.Error("empty streams did not complete immediately")
+	}
+}
+
+// TestStreamFetchMatchesRead checks that the timing-only StreamFetch
+// renders the same golden line as StreamRead: same completion time,
+// events, counters and DRAM traffic, in every relationship.
+func TestStreamFetchMatchesRead(t *testing.T) {
+	for _, w := range []int{1, 8} {
+		fetch := goldenOp{"Stream", func(s *Space, node int, addr uint64, done func()) {
+			s.StreamFetch(node, addr, goldenSize, w, done)
+		}}
+		read := goldenOp{"Stream", func(s *Space, node int, addr uint64, done func()) {
+			s.StreamRead(node, addr, goldenSize, w, func([]byte) { done() })
+		}}
+		for _, rel := range goldenRelations() {
+			if f, r := goldenLineFor(fetch, rel), goldenLineFor(read, rel); f != r {
+				t.Errorf("window %d:\n fetch %s\n read  %s", w, f, r)
+			}
+		}
 	}
 }
 
