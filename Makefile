@@ -2,9 +2,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test race lint bench bench-smoke experiments scale-smoke race-soak fuzz
+.PHONY: check fmt vet build test race lint bench bench-smoke bench-golden experiments scale-smoke race-soak fuzz
 
-check: fmt vet lint build race experiments bench-smoke scale-smoke
+check: fmt vet lint build race experiments bench-smoke bench-golden scale-smoke
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -41,6 +41,12 @@ bench:
 # which runs with the ordinary tests.
 bench-smoke:
 	go test -run '^$$' -bench '^BenchmarkKernelSpeedup$$' -benchtime 1x ./internal/sim
+
+# The benchmark module's own tests, where bench/golden.json pins every
+# workload's simulated makespans and counters. bench/ is a Go module of
+# its own, so `go test ./...` at the root never reaches it.
+bench-golden:
+	cd bench && go test ./...
 
 # Smoke-run ecobench over a fast subset through the parallel runner,
 # exercising the pool, per-point timeouts and multi-ID selection; the
