@@ -84,7 +84,7 @@ func (op *streamOp) issueLine() {
 	s := op.s
 	n := min(op.left, mem.LineBytes, s.pageRemaining(op.addr))
 	l := s.newLine(op.node, op.addr, n)
-	l.fn, l.arg = streamLineDone, op
+	l.stream = op
 	at := op.addr - op.base
 	if op.buf != nil {
 		l.dst = op.buf[at : at+uint64(n)]
@@ -99,10 +99,9 @@ func (op *streamOp) issueLine() {
 	s.issue(l, addr, op.write)
 }
 
-// streamLineDone issues the next line into the freed window slot, then
+// lineDone issues the next line into the freed window slot, then
 // completes the stream when no line is left in flight.
-func streamLineDone(a any) {
-	op := a.(*streamOp)
+func (op *streamOp) lineDone() {
 	op.inFlight--
 	if op.left > 0 {
 		op.issueLine()

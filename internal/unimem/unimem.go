@@ -404,24 +404,23 @@ func (s *Space) WriteWord(node int, addr uint64, v uint64, done func()) {
 }
 
 // lineOp is one pooled page-local access walking a §4.1 timing path
-// through static callbacks. Its completion is fn(arg), done() or
-// word(v), whichever is set; dst, when set, receives the bytes at
-// delivery.
+// through static callbacks. Its completion is the stream's lineDone,
+// done() or word(v), whichever is set; dst, when set, receives the bytes
+// at delivery.
 type lineOp struct {
-	s     *Space
-	p     *page
-	off   uint64 // offset of the access in its page
-	node  int
-	owner int
-	size  int      // bytes moved at the owner's DRAM
-	resp  int      // bytes of the owner's response
-	kind  noc.Kind // class of the request and its response
-	dst   []byte
-	fn    func(any)
-	arg   any
-	done  func()
-	word  func(uint64)
-	next  *lineOp
+	s      *Space
+	p      *page
+	off    uint64 // offset of the access in its page
+	node   int
+	owner  int
+	size   int      // bytes moved at the owner's DRAM
+	resp   int      // bytes of the owner's response
+	kind   noc.Kind // class of the request and its response
+	dst    []byte
+	stream *streamOp
+	done   func()
+	word   func(uint64)
+	next   *lineOp
 }
 
 // newLine takes a lineOp from the free list for an access of size bytes
@@ -508,11 +507,11 @@ func lineDeliver(a any) {
 	if l.word != nil {
 		v = binary.LittleEndian.Uint64(l.p.data[l.off:])
 	}
-	fn, arg, done, word := l.fn, l.arg, l.done, l.word
+	stream, done, word := l.stream, l.done, l.word
 	l.s.putLine(l) // recycle first: the completion may issue the next line
 	switch {
-	case fn != nil:
-		fn(arg)
+	case stream != nil:
+		stream.lineDone()
 	case done != nil:
 		done()
 	case word != nil:
