@@ -32,40 +32,85 @@ type Regression struct {
 	fitted bool
 }
 
-// Fit solves the normal equations over rows X (n×d) and targets y (n).
+// Fit solves the normal equations over rows X (n×d) and targets y (n):
+// it folds every row into a Normal accumulator, then solves it.
 func (r *Regression) Fit(x [][]float64, y []float64) error {
-	n := len(x)
-	if n == 0 || len(y) != n {
+	if len(x) == 0 || len(y) != len(x) {
 		return ErrBadShape
 	}
-	d := len(x[0])
-	for _, row := range x {
-		if len(row) != d {
+	var acc Normal
+	for k, row := range x {
+		if err := acc.Add(row, y[k]); err != nil {
+			return err
+		}
+	}
+	return acc.Solve(r, 0)
+}
+
+// Normal accumulates the bias-augmented normal equations AᵀA and Aᵀy of
+// a linear least-squares problem one row at a time, with one Aᵀy column
+// per target, so a model over a growing sample set is refit without
+// revisiting old rows. Each sum adds row[i]*row[j] and row[i]*y in row
+// order starting from zero, so the sums — and a Solve of them — are the
+// same floats as a batch fit over the same rows. The zero value takes
+// its feature width and target count from the first Add.
+type Normal struct {
+	dim, targets int
+	// sums holds AᵀA (dim×dim, row-major) followed by one Aᵀy column of
+	// dim entries per target, in one allocation.
+	sums []float64
+}
+
+// Add folds in one row x with one value per target. It returns
+// ErrBadShape, and folds nothing, when x's width or the target count
+// differs from the first row's.
+func (n *Normal) Add(x []float64, y ...float64) error {
+	dim := len(x) + 1 // the last column is the bias, constant 1
+	if n.sums == nil {
+		if len(y) == 0 {
 			return ErrBadShape
 		}
+		n.dim, n.targets = dim, len(y)
+		n.sums = make([]float64, dim*dim+len(y)*dim)
+	} else if dim != n.dim || len(y) != n.targets {
+		return ErrBadShape
 	}
-	// Augment with a bias column: solve (A^T A + λI) w = A^T y.
-	dim := d + 1
-	ata := make([][]float64, dim)
-	for i := range ata {
-		ata[i] = make([]float64, dim)
-	}
-	aty := make([]float64, dim)
-	row := make([]float64, dim)
-	for k := 0; k < n; k++ {
-		copy(row, x[k])
-		row[d] = 1
-		for i := 0; i < dim; i++ {
-			for j := 0; j < dim; j++ {
-				ata[i][j] += row[i] * row[j]
-			}
-			aty[i] += row[i] * y[k]
+	ata, aty := n.sums[:dim*dim], n.sums[dim*dim:]
+	for i := 0; i < dim; i++ {
+		ri := 1.0
+		if i < len(x) {
+			ri = x[i]
 		}
+		row := ata[i*dim : (i+1)*dim]
+		for j, xj := range x {
+			row[j] += ri * xj
+		}
+		row[dim-1] += ri
+		for t, yt := range y {
+			aty[t*dim+i] += ri * yt
+		}
+	}
+	return nil
+}
+
+// Solve fits r to target t of the accumulated rows: it solves
+// (AᵀA + λI) w = Aᵀy with λ = r.Lambda on every diagonal entry but the
+// bias's. The sums are left unchanged, so Add may continue afterwards.
+func (n *Normal) Solve(r *Regression, t int) error {
+	if n.sums == nil || t < 0 || t >= n.targets {
+		return ErrBadShape
+	}
+	dim := n.dim
+	d := dim - 1
+	ata := make([][]float64, dim)
+	buf := append([]float64(nil), n.sums[:dim*dim]...)
+	for i := range ata {
+		ata[i] = buf[i*dim : (i+1)*dim]
 	}
 	for i := 0; i < d; i++ { // do not regularize the bias
 		ata[i][i] += r.Lambda
 	}
-	w, err := solve(ata, aty)
+	w, err := solve(ata, n.sums[dim*dim+t*dim:dim*dim+(t+1)*dim])
 	if err != nil {
 		return err
 	}

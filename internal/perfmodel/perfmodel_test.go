@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,113 @@ func TestRegressionErrors(t *testing.T) {
 	if err := r.Fit(x, []float64{1, 2, 3}); err == nil {
 		t.Error("collinear features should error")
 	}
+}
+
+// batchFit is the direct batch ridge fit — sum AᵀA and Aᵀy over the
+// bias-augmented rows, then solve — that Normal must reproduce bit for bit.
+func batchFit(lambda float64, x [][]float64, y []float64) ([]float64, error) {
+	d := len(x[0])
+	dim := d + 1
+	ata := make([][]float64, dim)
+	for i := range ata {
+		ata[i] = make([]float64, dim)
+	}
+	aty := make([]float64, dim)
+	row := make([]float64, dim)
+	for k := range x {
+		copy(row, x[k])
+		row[d] = 1
+		for i := 0; i < dim; i++ {
+			for j := 0; j < dim; j++ {
+				ata[i][j] += row[i] * row[j]
+			}
+			aty[i] += row[i] * y[k]
+		}
+	}
+	for i := 0; i < d; i++ {
+		ata[i][i] += lambda
+	}
+	return solve(ata, aty)
+}
+
+func sameBits(t *testing.T, what string, r *Regression, w []float64) {
+	t.Helper()
+	got := append(append([]float64(nil), r.W...), r.B)
+	for i := range w {
+		if math.Float64bits(got[i]) != math.Float64bits(w[i]) {
+			t.Fatalf("%s: coefficients %v, batch fit %v", what, got, w)
+		}
+	}
+}
+
+func TestNormalSolveMatchesFit(t *testing.T) {
+	rng := sim.NewRNG(4)
+	var acc Normal
+	var x [][]float64
+	var y0, y1 []float64
+	for k := 0; k < 200; k++ {
+		a, b, c := rng.Float64()*1e4, rng.Float64()*1e3, float64(k%7)
+		row := []float64{a, b, c}
+		t0, t1 := 3*a+2*b+rng.Float64(), 1e-12*a+rng.Float64()*1e-11
+		if err := acc.Add(row, t0, t1); err != nil {
+			t.Fatal(err)
+		}
+		x, y0, y1 = append(x, row), append(y0, t0), append(y1, t1)
+		if k < 3 {
+			continue
+		}
+		for target, y := range [][]float64{y0, y1} {
+			want, err := batchFit(1e-6, x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := Regression{Lambda: 1e-6}
+			if err := acc.Solve(&r, target); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "Normal.Solve", &r, want)
+			f := Regression{Lambda: 1e-6}
+			if err := f.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "Fit", &f, want)
+		}
+	}
+}
+
+func TestNormalErrors(t *testing.T) {
+	var r Regression
+	var acc Normal
+	if err := acc.Solve(&r, 0); !errors.Is(err, ErrBadShape) {
+		t.Errorf("Solve with no rows: %v, want ErrBadShape", err)
+	}
+	if err := acc.Add([]float64{1}); !errors.Is(err, ErrBadShape) {
+		t.Errorf("Add with no targets: %v, want ErrBadShape", err)
+	}
+	rows := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}
+	for _, row := range rows {
+		if err := acc.Add(row, row[0]+2*row[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := acc.Add([]float64{1, 2, 3}, 1); !errors.Is(err, ErrBadShape) {
+		t.Errorf("ragged row: %v, want ErrBadShape", err)
+	}
+	if err := acc.Add([]float64{1, 2}, 1, 2); !errors.Is(err, ErrBadShape) {
+		t.Errorf("extra target: %v, want ErrBadShape", err)
+	}
+	if err := acc.Solve(&r, 1); !errors.Is(err, ErrBadShape) {
+		t.Errorf("Solve of a missing target: %v, want ErrBadShape", err)
+	}
+	// Rejected rows fold nothing: the fit is still the four good rows'.
+	if err := acc.Solve(&r, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := batchFit(0, rows, []float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "after rejected rows", &r, want)
 }
 
 func TestPredictBeforeFitPanics(t *testing.T) {

@@ -168,3 +168,27 @@ func testHistoryRaggedCollinear(t *testing.T) {
 		t.Errorf("TotalTime(x) = %d", got)
 	}
 }
+
+func TestHistoryZeroAlloc(t *testing.T) {
+	h := NewHistory()
+	f := []float64{1, 2}
+	for i := 0; i < 8; i++ {
+		f[0], f[1] = float64(100+17*i), float64(3*i*i)
+		h.Add(Record{Kernel: "k", Device: DeviceHW, Features: f, Duration: sim.Time(50 + i*i), Energy: 1e-9})
+	}
+	if h.Model("k", DeviceHW) == nil || h.EnergyModel("k", DeviceHW) == nil {
+		t.Fatal("no model from 8 samples")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		h.Model("k", DeviceHW)
+		h.EnergyModel("k", DeviceHW)
+		h.Samples("k", DeviceHW)
+		h.TotalTime("k")
+	}); a != 0 {
+		t.Errorf("model lookups on an unchanged history allocate %v times, want 0", a)
+	}
+	r := Record{Kernel: "k", Device: DeviceHW, Features: f, Duration: 77, Energy: 2e-9}
+	if a := testing.AllocsPerRun(100, func() { h.Add(r) }); a != 0 {
+		t.Errorf("Add to an existing pair allocates %v times, want 0", a)
+	}
+}

@@ -67,7 +67,8 @@ func (t *Task) Features() []float64 {
 	}
 }
 
-// Record is one execution-history entry (the History file of Fig. 5).
+// Record is one observed execution, folded into the History (the
+// History file of Fig. 5).
 type Record struct {
 	Kernel   string
 	Device   Device
@@ -78,10 +79,39 @@ type Record struct {
 }
 
 // History is the Execution History block: per (kernel, device) samples
-// feeding the runtime models.
+// feeding the runtime models. It keeps no raw records: each pair holds
+// running normal-equation sums (see perfmodel.Normal) for its time and
+// energy targets, so a model is refit from the sums in O(1) of history
+// length, and solved at most once per Add to that pair.
 type History struct {
-	records []Record
-	byKey   map[string][]int
+	n     int
+	byKey map[histKey]*histEntry
+}
+
+type histKey struct {
+	kernel string
+	dev    Device
+}
+
+// Model targets, the columns of histEntry.acc.
+const (
+	targetTime = iota
+	targetEnergy
+	numTargets
+)
+
+// histEntry is one (kernel, device) pair's running state.
+type histEntry struct {
+	n     int
+	total sim.Time
+	acc   perfmodel.Normal
+	// model caches each target's fit (nil when it failed) once solved[t];
+	// Add clears solved.
+	model  [numTargets]*perfmodel.Regression
+	solved [numTargets]bool
+	// ragged marks a Features width that differs from the first
+	// record's: no model fits the pair from then on.
+	ragged bool
 }
 
 // NewHistory returns an empty history. The index map materializes on the
@@ -90,32 +120,44 @@ func NewHistory() *History {
 	return &History{}
 }
 
-func hkey(kernel string, dev Device) string { return kernel + "/" + dev.String() }
-
-// Add appends a record.
+// Add folds a record into its (kernel, device) sums; the record itself
+// is not kept.
 func (h *History) Add(r Record) {
-	h.records = append(h.records, r)
+	h.n++
 	if h.byKey == nil {
-		h.byKey = map[string][]int{}
+		h.byKey = map[histKey]*histEntry{}
 	}
-	k := hkey(r.Kernel, r.Device)
-	h.byKey[k] = append(h.byKey[k], len(h.records)-1)
+	k := histKey{r.Kernel, r.Device}
+	e := h.byKey[k]
+	if e == nil {
+		e = &histEntry{}
+		h.byKey[k] = e
+	}
+	e.n++
+	e.total += r.Duration
+	e.solved = [numTargets]bool{}
+	if !e.ragged && e.acc.Add(r.Features, float64(r.Duration), float64(r.Energy)) != nil {
+		e.ragged = true
+	}
 }
 
 // Len returns the total record count.
-func (h *History) Len() int { return len(h.records) }
+func (h *History) Len() int { return h.n }
 
 // Samples returns how many records exist for (kernel, device).
 func (h *History) Samples(kernel string, dev Device) int {
-	return len(h.byKey[hkey(kernel, dev)])
+	if e := h.byKey[histKey{kernel, dev}]; e != nil {
+		return e.n
+	}
+	return 0
 }
 
 // TotalTime sums the recorded durations for a kernel on both devices.
 func (h *History) TotalTime(kernel string) sim.Time {
 	var t sim.Time
-	for _, r := range h.records {
-		if r.Kernel == kernel {
-			t += r.Duration
+	for _, dev := range [...]Device{DeviceCPU, DeviceHW} {
+		if e := h.byKey[histKey{kernel, dev}]; e != nil {
+			t += e.total
 		}
 	}
 	return t
@@ -123,32 +165,32 @@ func (h *History) TotalTime(kernel string) sim.Time {
 
 // Model fits a time-prediction regression for (kernel, device). It
 // returns nil when there are too few samples or the fit is degenerate.
+// The model is shared until the next Add to the pair: callers must not
+// modify it.
 func (h *History) Model(kernel string, dev Device) *perfmodel.Regression {
-	return h.fit(kernel, dev, func(r Record) float64 { return float64(r.Duration) })
+	return h.fit(kernel, dev, targetTime)
 }
 
 // EnergyModel fits an energy-prediction regression for (kernel, device),
-// the power half of the §4.2 "execution time and power" models.
+// the power half of the §4.2 "execution time and power" models. Like
+// Model's, the result is shared and read-only.
 func (h *History) EnergyModel(kernel string, dev Device) *perfmodel.Regression {
-	return h.fit(kernel, dev, func(r Record) float64 { return float64(r.Energy) })
+	return h.fit(kernel, dev, targetEnergy)
 }
 
-func (h *History) fit(kernel string, dev Device, y func(Record) float64) *perfmodel.Regression {
-	idx := h.byKey[hkey(kernel, dev)]
-	if len(idx) < 4 {
+func (h *History) fit(kernel string, dev Device, target int) *perfmodel.Regression {
+	e := h.byKey[histKey{kernel, dev}]
+	if e == nil || e.n < 4 || e.ragged {
 		return nil
 	}
-	var xs [][]float64
-	var ys []float64
-	for _, i := range idx {
-		xs = append(xs, h.records[i].Features)
-		ys = append(ys, y(h.records[i]))
+	if !e.solved[target] {
+		reg := &perfmodel.Regression{Lambda: 1e-6}
+		if e.acc.Solve(reg, target) != nil {
+			reg = nil
+		}
+		e.model[target], e.solved[target] = reg, true
 	}
-	reg := &perfmodel.Regression{Lambda: 1e-6}
-	if err := reg.Fit(xs, ys); err != nil {
-		return nil
-	}
-	return reg
+	return e.model[target]
 }
 
 // Policy selects the execution device for a task.
@@ -349,6 +391,7 @@ type Scheduler struct {
 	nextID     uint64
 	idleCb     func() // hook for the work-stealing layer
 	wlabel     string // lazily cached strconv of Worker for metric labels
+	taskCtrs   []tasksCtr
 	opFree     *taskOp
 	inflight   []*taskOp // CPU ops with a cancellable completion event
 	dead       bool      // Worker failed: no dispatch, work reroutes
@@ -515,8 +558,10 @@ func (s *Scheduler) start(q queued, dev Device) {
 	s.waitTime += wait
 	start := s.eng.Now()
 	pid := trace.WorkerPID(s.Worker)
-	s.Flow.Add(int64(start), "runtime", "worker %d: %s(%s) dispatched to %s by policy %s",
-		s.Worker, t.Kernel, fmtBindings(t.Bindings), dev, s.Policy.Name())
+	if s.Flow != nil {
+		s.Flow.Add(int64(start), "runtime", "worker %d: %s(%s) dispatched to %s by policy %s",
+			s.Worker, t.Kernel, fmtBindings(t.Bindings), dev, s.Policy.Name())
+	}
 	s.Trace.Add(trace.Span{Name: t.Kernel, Cat: trace.CatQueue,
 		Start: int64(t.submitted), End: int64(start),
 		PID: pid, TID: trace.TIDCPU, Task: t.ID})
@@ -621,15 +666,15 @@ func taskFinish(op *taskOp, err error) {
 		Features: t.Features(), Duration: now - start,
 		Energy: s.taskEnergy(dev, t),
 	})
-	s.Flow.Add(int64(now), "runtime", "worker %d: %s completed on %s (recorded to history)",
-		s.Worker, t.Kernel, dev)
+	if s.Flow != nil {
+		s.Flow.Add(int64(now), "runtime", "worker %d: %s completed on %s (recorded to history)",
+			s.Worker, t.Kernel, dev)
+	}
 	s.Trace.Add(trace.Span{Name: t.Kernel, Cat: trace.CatTask,
 		Start: int64(t.submitted), End: int64(now),
 		PID: trace.WorkerPID(s.Worker), TID: trace.TIDCPU, Task: t.ID, Detail: dev.String()})
 	if s.Reg != nil {
-		s.Reg.CounterL("rts.tasks",
-			trace.L("worker", s.workerLabel()), trace.L("device", dev.String()),
-			trace.L("kernel", t.Kernel), trace.L("policy", s.Policy.Name())).Inc()
+		s.tasksCounter(t.Kernel, dev).Inc()
 		trace.LatencyHistogram(s.Reg, "lat.task_us").Observe((now - t.submitted).Micros())
 	}
 	if done != nil {
@@ -639,6 +684,31 @@ func taskFinish(op *taskOp, err error) {
 	if s.Outstanding() == 0 && s.idleCb != nil {
 		s.idleCb()
 	}
+}
+
+// tasksCounter returns the rts.tasks series for (kernel, dev) under the
+// current policy, looked up in the registry once and then served from a
+// per-scheduler cache: a Worker sees few distinct series, so a linear
+// scan beats the registry's label-key formatting on every completion.
+func (s *Scheduler) tasksCounter(kernel string, dev Device) *trace.Counter {
+	policy := s.Policy.Name()
+	for _, tc := range s.taskCtrs {
+		if tc.kernel == kernel && tc.dev == dev && tc.policy == policy {
+			return tc.c
+		}
+	}
+	c := s.Reg.CounterL("rts.tasks",
+		trace.L("worker", s.workerLabel()), trace.L("device", dev.String()),
+		trace.L("kernel", kernel), trace.L("policy", policy))
+	s.taskCtrs = append(s.taskCtrs, tasksCtr{kernel, policy, dev, c})
+	return c
+}
+
+// tasksCtr is one cached rts.tasks series of a Scheduler.
+type tasksCtr struct {
+	kernel, policy string
+	dev            Device
+	c              *trace.Counter
 }
 
 // fmtBindings renders scalar bindings compactly and deterministically.

@@ -1,6 +1,8 @@
 package rts
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"ecoscale/internal/accel"
@@ -11,6 +13,7 @@ import (
 	"ecoscale/internal/sim"
 	"ecoscale/internal/smmu"
 	"ecoscale/internal/topo"
+	"ecoscale/internal/trace"
 	"ecoscale/internal/unilogic"
 	"ecoscale/internal/unimem"
 )
@@ -298,5 +301,35 @@ func TestTaskConservation(t *testing.T) {
 func TestDeviceString(t *testing.T) {
 	if DeviceCPU.String() != "cpu" || DeviceHW.String() != "hw" {
 		t.Error("device strings wrong")
+	}
+}
+
+func TestTasksCounterFollowsPolicy(t *testing.T) {
+	r := newRig(t, 2)
+	r.deployHW(t, 0)
+	s := r.scheds[0]
+	s.Reg = trace.NewRegistry()
+	run := func(p Policy, n int) {
+		s.Policy = p
+		for i := 0; i < n; i++ {
+			s.Submit(r.task(128), nil)
+		}
+		r.eng.RunUntilIdle()
+	}
+	run(PolicyCPU{}, 3)
+	run(PolicyHW{}, 2)
+	run(PolicyCPU{}, 1)
+	want := map[string]uint64{
+		`rts.tasks{device="cpu",kernel="scale",policy="always-sw",worker="0"}`: 4,
+		`rts.tasks{device="hw",kernel="scale",policy="always-hw",worker="0"}`:  2,
+	}
+	got := map[string]uint64{}
+	for _, name := range s.Reg.CounterNames() {
+		if strings.HasPrefix(name, "rts.tasks{") {
+			got[name] = s.Reg.CounterL(name).Value
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rts.tasks series = %v, want %v", got, want)
 	}
 }
