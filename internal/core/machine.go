@@ -360,11 +360,7 @@ func (m *Machine) peekManager(w int) *accel.Manager {
 func (m *Machine) identityTemplate() *smmu.SMMU {
 	if m.smmuTmpl == nil {
 		tmpl := smmu.New(m.Cfg.SMMU)
-		pages := uint64(m.Cfg.MappedBytes) / tmpl.PageSize()
-		for p := uint64(0); p < pages; p++ {
-			tmpl.MapStage1(1, p*tmpl.PageSize(), p*tmpl.PageSize(), smmu.PermRW)
-			tmpl.MapStage2(1, p*tmpl.PageSize(), p*tmpl.PageSize(), smmu.PermRW)
-		}
+		tmpl.MapIdentity(1, 1, m.Cfg.MappedBytes/int(tmpl.PageSize()), smmu.PermRW)
 		m.smmuTmpl = tmpl
 	}
 	return m.smmuTmpl

@@ -138,20 +138,14 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestParallelMatchesSequential is the determinism regression gate:
-// each sampled experiment must render byte-identically at -parallel 1
-// and -parallel 4. E10's points share workload setup and formerly
-// threaded a baseline accumulator through loop iterations; E2 derives a
-// column in Finalize from each point's Value; E7 carries critical-path
-// share columns; E14, R1 and R4 are plain multi-point scenarios from
-// two more scenario files. It runs under `go test -race` via
-// `make race`.
+// every registered experiment must render byte-identically at
+// -parallel 1 and -parallel 4. Under `go test -race` (`make race`,
+// `make race-soak`) it also audits that points share no mutable state,
+// including set-up shared read-only across points such as E10's
+// software reference runs.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, id := range []string{"E10", "E2", "E7", "E14", "R1", "R4"} {
-		t.Run(id, func(t *testing.T) {
-			s, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, s := range Registry() {
+		t.Run(s.ID, func(t *testing.T) {
 			seq, err := runner.Run(context.Background(), s, runner.Options{Parallel: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -161,10 +155,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if seq.String() != par.String() {
-				t.Errorf("%s parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", id, seq, par)
+				t.Errorf("%s parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", s.ID, seq, par)
 			}
 			if seq.CSV() != par.CSV() {
-				t.Errorf("%s parallel CSV differs from sequential", id)
+				t.Errorf("%s parallel CSV differs from sequential", s.ID)
 			}
 		})
 	}

@@ -107,12 +107,7 @@ type LoadOptions struct {
 // done fires when the region is active. Loads serialize on the port —
 // the middleware contention that E6/E9 observe under churn.
 func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
-	bs := f.BitstreamFor(p, opt.Density)
-	wire := bs
-	if opt.Compressed {
-		wire = CompressRLE(bs)
-	}
-	bytes := len(wire)
+	bytes := f.wireBytes(p, opt)
 	dur := sim.Time(float64(bytes) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
 	start := f.eng.Now()
 	f.ensurePort().Use(dur, func() {
@@ -141,10 +136,15 @@ func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
 // LoadLatency returns the uncontended reconfiguration time for a
 // placement under the given options.
 func (f *Fabric) LoadLatency(p *Placement, opt LoadOptions) sim.Time {
-	bs := f.BitstreamFor(p, opt.Density)
-	n := len(bs)
+	return sim.Time(float64(f.wireBytes(p, opt)) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
+}
+
+// wireBytes is the size of what a load streams through the port. An
+// uncompressed bitstream is always Area() * BytesPerRegion bytes, so
+// only a compressed load needs the bytes themselves.
+func (f *Fabric) wireBytes(p *Placement, opt LoadOptions) int {
 	if opt.Compressed {
-		n = len(CompressRLE(bs))
+		return len(CompressRLE(f.BitstreamFor(p, opt.Density)))
 	}
-	return sim.Time(float64(n) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
+	return p.Area() * f.cfg.BytesPerRegion
 }

@@ -3,12 +3,14 @@ package fabric
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ecoscale/internal/energy"
 	"ecoscale/internal/sim"
+	"ecoscale/internal/trace"
 )
 
 func newFabric(t testing.TB) (*sim.Engine, *Fabric, *energy.Meter) {
@@ -410,6 +412,47 @@ func TestLoadTiming(t *testing.T) {
 	}
 	if plain != f.LoadLatency(p, LoadOptions{}) {
 		t.Error("uncontended load should match LoadLatency")
+	}
+}
+
+// TestLoadWireBytesMatchBitstream pins Load and LoadLatency to the bytes
+// BitstreamFor synthesizes: a plain load moves the whole bitstream and a
+// compressed one its RLE encoding, in simulated time and in the
+// fabric.loaded_bytes counter.
+func TestLoadWireBytesMatchBitstream(t *testing.T) {
+	for _, regions := range []int{1, 4, 16} {
+		for _, density := range []float64{0, 0.1, 0.25, 0.5, 1} {
+			for _, compressed := range []bool{false, true} {
+				eng, f, _ := newFabric(t)
+				f.Reg = trace.NewRegistry()
+				p, err := f.Place(bigMod(fmt.Sprintf("m%d", regions), regions))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs := f.BitstreamFor(p, density)
+				want := len(bs)
+				if compressed {
+					want = len(CompressRLE(bs))
+				}
+				wantLat := sim.Time(float64(want) / f.Config().PortBytesPerNs * float64(sim.Nanosecond))
+				opt := LoadOptions{Compressed: compressed, Density: density}
+				if got := f.LoadLatency(p, opt); got != wantLat {
+					t.Errorf("regions=%d density=%v compressed=%v: LoadLatency = %v, want %v",
+						regions, density, compressed, got, wantLat)
+				}
+				var done sim.Time
+				f.Load(p, opt, func() { done = eng.Now() })
+				eng.RunUntilIdle()
+				if done != wantLat {
+					t.Errorf("regions=%d density=%v compressed=%v: load took %v, want %v",
+						regions, density, compressed, done, wantLat)
+				}
+				if got := f.Reg.CounterTotal("fabric.loaded_bytes"); got != uint64(want) {
+					t.Errorf("regions=%d density=%v compressed=%v: fabric.loaded_bytes = %d, want %d",
+						regions, density, compressed, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -276,13 +276,30 @@ func (s *SMMU) MapStage2(vmid int, ipa, pa uint64, perm Perm) {
 	})
 }
 
-// MapIdentity2 identity-maps IPA page range [base, base+n pages) for the
-// VMID — the common "hypervisor gives the OS real memory" setup.
-func (s *SMMU) MapIdentity2(vmid int, base uint64, pages int, perm Perm) {
-	for i := 0; i < pages; i++ {
-		ipa := base + uint64(i)*s.PageSize()
-		s.MapStage2(vmid, ipa, ipa, perm)
+// MapIdentity identity-maps the first pages pages of the address space
+// in both stages: VA == IPA under the ASID and IPA == PA under the VMID,
+// each with perm — the "hypervisor gives the OS real memory" setup. It
+// is the bulk form of a MapStage1 plus MapStage2 call per page, with the
+// same resulting tables and TLB, and it builds each new stage map at
+// its final size.
+func (s *SMMU) MapIdentity(asid, vmid, pages int, perm Perm) {
+	s.ownTables()
+	fill := func(t map[int]map[uint64]entry, id int) {
+		m, ok := t[id]
+		if !ok {
+			m = make(map[uint64]entry, pages)
+			t[id] = m
+		}
+		for p := uint64(0); p < uint64(pages); p++ {
+			m[p] = entry{target: p, perm: perm}
+		}
 	}
+	fill(s.stage1, asid)
+	fill(s.stage2, vmid)
+	s.invalidateTLB(func(e *tlbEntry) bool {
+		c, ok := s.contexts[e.stream]
+		return ok && (c.vmid == vmid || c.asid == asid && e.vaPage < uint64(pages))
+	})
 }
 
 // UnmapStage1 removes a VA mapping.

@@ -22,6 +22,104 @@ func newMapped(t *testing.T) *SMMU {
 	return s
 }
 
+// mapStage2Identity identity-maps IPA pages [0, pages) under vmid, RW,
+// leaving stage 1 to the test.
+func mapStage2Identity(s *SMMU, vmid int, pages uint64) {
+	for p := uint64(0); p < pages; p++ {
+		s.MapStage2(vmid, p*pg, p*pg, PermRW)
+	}
+}
+
+// TestMapIdentityMatchesPerPageMaps checks the bulk identity map against
+// a MapStage1 plus MapStage2 call per page, on an SMMU whose TLB already
+// caches a translation the new map replaces.
+func TestMapIdentityMatchesPerPageMaps(t *testing.T) {
+	const pages = 16
+	build := func(bulk bool) *SMMU {
+		s := New(DefaultConfig())
+		s.BindContext(1, 3, 4)
+		s.BindContext(2, 5, 4)
+		s.MapStage1(3, 0, 100*pg, PermRW)
+		s.MapStage1(5, 0, 0, PermRW)
+		s.MapStage2(4, 100*pg, 200*pg, PermRW)
+		if _, err := s.Translate(1, 0, PermRead); err != nil {
+			t.Fatal(err)
+		}
+		if bulk {
+			s.MapIdentity(3, 4, pages, PermRead)
+		} else {
+			for p := uint64(0); p < pages; p++ {
+				s.MapStage1(3, p*pg, p*pg, PermRead)
+				s.MapStage2(4, p*pg, p*pg, PermRead)
+			}
+		}
+		return s
+	}
+	bulk, loop := build(true), build(false)
+	cases := []struct {
+		name   string
+		stream int
+		va     uint64
+		access Perm
+	}{
+		{"first page", 1, 12, PermRead},
+		{"first page again", 1, 34, PermRead},
+		{"last page", 1, (pages-1)*pg + 8, PermRead},
+		{"past the window", 1, pages * pg, PermRead},
+		{"wrong permission", 1, 3 * pg, PermWrite},
+		{"other asid, same vmid", 2, 0, PermRead},
+		{"other asid, wrong permission", 2, 0, PermWrite},
+	}
+	for _, c := range cases {
+		got, gotErr := bulk.Translate(c.stream, c.va, c.access)
+		want, wantErr := loop.Translate(c.stream, c.va, c.access)
+		if got != want || faultKind(gotErr) != faultKind(wantErr) {
+			t.Errorf("%s: MapIdentity gives %+v, %v; per-page maps give %+v, %v",
+				c.name, got, gotErr, want, wantErr)
+		}
+	}
+	if _, err := bulk.Translate(1, pages*pg, PermRead); faultKind(err) != "stage1-translation" {
+		t.Errorf("access past the window: %v; want a stage-1 translation fault", err)
+	}
+	if _, err := bulk.Translate(1, 0, PermWrite); faultKind(err) != "stage1-permission" {
+		t.Errorf("write to a read-only page: %v; want a stage-1 permission fault", err)
+	}
+}
+
+// faultKind names the kind of a *Fault error, "" for nil.
+func faultKind(err error) string {
+	if err == nil {
+		return ""
+	}
+	var f *Fault
+	if !errors.As(err, &f) {
+		return err.Error()
+	}
+	return f.Kind.String()
+}
+
+// TestMapIdentityCopiesSharedTables checks that MapIdentity on an SMMU
+// that borrowed its tables writes a private copy, not the source's.
+func TestMapIdentityCopiesSharedTables(t *testing.T) {
+	src := New(DefaultConfig())
+	src.BindContext(1, 1, 1)
+	src.MapStage1(1, 0, 5*pg, PermRW)
+	src.MapStage2(1, 5*pg, 5*pg, PermRW)
+	dst := New(DefaultConfig())
+	dst.BindContext(1, 1, 1)
+	dst.ShareTablesFrom(src)
+	dst.MapIdentity(1, 1, 8, PermRW)
+	if res, err := dst.Translate(1, 0, PermRead); err != nil || res.PA != 0 {
+		t.Errorf("borrower: %+v, %v; want PA 0", res, err)
+	}
+	if res, err := src.Translate(1, 0, PermRead); err != nil || res.PA != 5*pg {
+		t.Errorf("source after borrower's MapIdentity: %+v, %v; want PA %#x", res, err, 5*pg)
+	}
+	if _, err := src.Translate(1, pg, PermRead); faultKind(err) != "stage1-translation" {
+		t.Errorf("source gained the borrower's page 1: %v", err)
+	}
+}
+
 func TestTranslateTwoStages(t *testing.T) {
 	s := newMapped(t)
 	res, err := s.Translate(1, 5*pg+123, PermRead)
@@ -124,7 +222,7 @@ func TestStreamIsolation(t *testing.T) {
 	s.BindContext(2, 11, 20)
 	s.MapStage1(10, 0, 1*pg, PermRW)
 	s.MapStage1(11, 0, 2*pg, PermRW)
-	s.MapIdentity2(20, 0, 8, PermRW)
+	mapStage2Identity(s, 20, 8)
 	r1, err1 := s.Translate(1, 100, PermRead)
 	r2, err2 := s.Translate(2, 100, PermRead)
 	if err1 != nil || err2 != nil {
@@ -208,7 +306,7 @@ func TestTLBEviction(t *testing.T) {
 	cfg.TLBEntries = 2
 	s := New(cfg)
 	s.BindContext(1, 10, 20)
-	s.MapIdentity2(20, 0, 16, PermRW)
+	mapStage2Identity(s, 20, 16)
 	for i := uint64(0); i < 4; i++ {
 		s.MapStage1(10, i*pg, i*pg, PermRW)
 	}
@@ -344,7 +442,7 @@ func TestFaultHandlerDemandMaps(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(DefaultConfig())
 	s.BindContext(1, 10, 20)
-	s.MapIdentity2(20, 0, 64, PermRW)
+	mapStage2Identity(s, 20, 64)
 	s.SetFaultHandler(func(f *Fault) bool {
 		if f.Kind != FaultTranslationStage1 {
 			return false
