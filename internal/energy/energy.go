@@ -88,10 +88,23 @@ func DefaultCostModel() CostModel {
 // Meter accumulates energy by named component category.
 type Meter struct {
 	Model  CostModel
-	byCat  map[string]Joules
+	byCat  map[string]*Account
 	total  Joules
 	static []staticBlock
 	eng    *sim.Engine
+}
+
+// Account is one category's running total. Hot paths resolve it once with
+// Meter.Account and charge it directly, without the meter's map lookup; a
+// charge through the account and one through Meter.Charge are the same
+// addition, to the category and to the meter's total.
+type Account struct {
+	m        *Meter
+	category string
+	e        Joules
+	// listed is set by the first charge: a resolved account that was
+	// never charged is not one of the meter's categories.
+	listed bool
 }
 
 // StaticLoad is one constant power draw charged to a category.
@@ -115,17 +128,37 @@ type staticBlock struct {
 // NewMeter returns a meter using the given cost model, tied to the
 // engine's clock for static-power integration.
 func NewMeter(eng *sim.Engine, model CostModel) *Meter {
-	return &Meter{Model: model, byCat: map[string]Joules{}, eng: eng}
+	return &Meter{Model: model, byCat: map[string]*Account{}, eng: eng}
+}
+
+// Account returns the category's account, creating it on first use. The
+// category is listed by Categories and Breakdown from its first charge.
+func (m *Meter) Account(category string) *Account {
+	a := m.byCat[category]
+	if a == nil {
+		a = &Account{m: m, category: category}
+		m.byCat[category] = a
+	}
+	return a
 }
 
 // Charge adds dynamic energy to a category. Negative charges panic:
 // energy only accumulates.
-func (m *Meter) Charge(category string, e Joules) {
+func (m *Meter) Charge(category string, e Joules) { m.Account(category).Charge(e) }
+
+// Charge adds dynamic energy to the account's category. Negative charges
+// panic: energy only accumulates.
+func (a *Account) Charge(e Joules) {
 	if e < 0 {
-		panic("energy: negative charge to " + category)
+		panic("energy: negative charge to " + a.category)
 	}
-	m.byCat[category] += e
-	m.total += e
+	a.add(e)
+}
+
+func (a *Account) add(e Joules) {
+	a.e += e
+	a.listed = true
+	a.m.total += e
 }
 
 // AddStatic registers a constant power draw under the category, integrated
@@ -157,9 +190,7 @@ func (m *Meter) Settle() {
 		dt := (now - b.since).Seconds()
 		for rep := 0; rep < b.n; rep++ {
 			for _, l := range b.loads {
-				add := Joules(float64(l.Power) * dt)
-				m.byCat[l.Category] += add
-				m.total += add
+				m.Account(l.Category).add(Joules(float64(l.Power) * dt))
 			}
 		}
 		b.since = now
@@ -167,7 +198,12 @@ func (m *Meter) Settle() {
 }
 
 // Category returns the accumulated energy for one category.
-func (m *Meter) Category(category string) Joules { return m.byCat[category] }
+func (m *Meter) Category(category string) Joules {
+	if a := m.byCat[category]; a != nil {
+		return a.e
+	}
+	return 0
+}
 
 // Total returns the sum over all categories.
 // Total is maintained incrementally rather than summed from the category
@@ -179,8 +215,10 @@ func (m *Meter) Total() Joules { return m.total }
 // Categories returns all category names, sorted.
 func (m *Meter) Categories() []string {
 	names := make([]string, 0, len(m.byCat))
-	for n := range m.byCat {
-		names = append(names, n)
+	for n, a := range m.byCat {
+		if a.listed {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -199,7 +237,7 @@ func (m *Meter) Breakdown() []struct {
 		out = append(out, struct {
 			Category string
 			Energy   Joules
-		}{n, m.byCat[n]})
+		}{n, m.byCat[n].e})
 	}
 	return out
 }

@@ -60,6 +60,73 @@ func TestMeterNegativeChargePanics(t *testing.T) {
 	m.Charge("cpu", -1)
 }
 
+func TestAccountListedFromFirstCharge(t *testing.T) {
+	m := NewMeter(sim.NewEngine(1), DefaultCostModel())
+	m.Account("noc")
+	m.Account("link")
+	m.Charge("zero", 0)
+	if got := m.Categories(); len(got) != 1 || got[0] != "zero" {
+		t.Errorf("Categories = %v, want [zero]: resolved accounts are not listed until charged, a zero Charge is", got)
+	}
+	if bd := m.Breakdown(); len(bd) != 1 || bd[0].Category != "zero" || bd[0].Energy != 0 {
+		t.Errorf("Breakdown = %v, want [{zero 0}]", bd)
+	}
+	m.Account("link").Charge(0)
+	if got := m.Categories(); len(got) != 2 || got[0] != "link" {
+		t.Errorf("Categories = %v after a zero Account.Charge, want [link zero]", got)
+	}
+	if m.Account("noc") != m.Account("noc") {
+		t.Error("Account returned two accounts for one category")
+	}
+}
+
+func TestAccountNegativeChargePanics(t *testing.T) {
+	a := NewMeter(sim.NewEngine(1), DefaultCostModel()).Account("noc")
+	defer func() {
+		if recover() == nil {
+			t.Error("negative Account.Charge did not panic")
+		}
+	}()
+	a.Charge(-1)
+}
+
+// Charges made through resolved accounts, interleaved with Meter.Charge,
+// must add up bit for bit as the same charges made through Charge alone.
+func TestAccountMatchesCharge(t *testing.T) {
+	eng := sim.NewEngine(1)
+	byName := NewMeter(eng, DefaultCostModel())
+	mixed := NewMeter(eng, DefaultCostModel())
+	cats := []string{"noc", "link", "cpu"}
+	accts := make([]*Account, len(cats))
+	for i, c := range cats {
+		accts[i] = mixed.Account(c)
+	}
+	rng := sim.NewRNG(7)
+	for i := 0; i < 5000; i++ {
+		c := rng.Intn(len(cats))
+		e := Joules(rng.Float64()) * Nanojoule
+		byName.Charge(cats[c], e)
+		if i%3 == 0 {
+			mixed.Charge(cats[c], e)
+		} else {
+			accts[c].Charge(e)
+		}
+	}
+	if a, b := math.Float64bits(float64(byName.Total())), math.Float64bits(float64(mixed.Total())); a != b {
+		t.Errorf("Total bits %#x through Charge, %#x through accounts", a, b)
+	}
+	want, got := byName.Breakdown(), mixed.Breakdown()
+	if len(want) != len(got) {
+		t.Fatalf("Breakdown has %d categories through Charge, %d through accounts", len(want), len(got))
+	}
+	for i := range want {
+		if want[i].Category != got[i].Category ||
+			math.Float64bits(float64(want[i].Energy)) != math.Float64bits(float64(got[i].Energy)) {
+			t.Errorf("Breakdown[%d] = %v through Charge, %v through accounts", i, want[i], got[i])
+		}
+	}
+}
+
 func TestMeterStaticIntegration(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewMeter(e, DefaultCostModel())

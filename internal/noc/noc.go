@@ -16,11 +16,9 @@ package noc
 
 import (
 	"fmt"
-	"sort"
-
-	"ecoscale/internal/intern"
 
 	"ecoscale/internal/energy"
+	"ecoscale/internal/intern"
 	"ecoscale/internal/sim"
 	"ecoscale/internal/topo"
 	"ecoscale/internal/trace"
@@ -115,8 +113,12 @@ type Network struct {
 	meter *energy.Meter
 	reg   *trace.Registry
 
-	// links[level][group][dir] with dir 0=up, 1=down.
-	links map[linkKey]*sim.Resource
+	// links[level][2*group+dir], dir 0=up, 1=down: one row per tree
+	// level, sized at construction, each link created on first use.
+	links [][]*sim.Resource
+	// acct[level] is the energy account a level's flit-hops charge:
+	// "link" for off-chip levels, "noc" otherwise. nil without a meter.
+	acct []*energy.Account
 
 	// Cached registry series: counter lookup concatenates strings, so the
 	// hot count() path resolves each series once up front.
@@ -130,12 +132,6 @@ type Network struct {
 	rtFree   *rtOp
 	dmaFree  *dmaOp
 	lsFree   *lsOp
-}
-
-type linkKey struct {
-	level int
-	group int
-	dir   int
 }
 
 // NewNetwork builds a network over t. When t is a *topo.Tree, each tree
@@ -152,9 +148,23 @@ func NewNetwork(eng *sim.Engine, t topo.Topology, cfg Config, meter *energy.Mete
 	// Identically-shaped networks (every Worker port, every same-level
 	// link) share one canonical level table instead of one copy each.
 	cfg.Levels = intern.CanonicalSlice(cfg.Levels)
-	n := &Network{eng: eng, topo: t, cfg: cfg, meter: meter, reg: reg, links: map[linkKey]*sim.Resource{}}
+	n := &Network{eng: eng, topo: t, cfg: cfg, meter: meter, reg: reg}
 	if tree, ok := t.(*topo.Tree); ok {
 		n.tree = tree
+		n.links = make([][]*sim.Resource, tree.MaxHops())
+		for l := range n.links {
+			n.links[l] = make([]*sim.Resource, 2*tree.NumWorkers()/tree.GroupSize(l))
+		}
+	}
+	if meter != nil {
+		n.acct = make([]*energy.Account, len(cfg.Levels))
+		for l, lc := range cfg.Levels {
+			cat := "noc"
+			if lc.OffChip && n.tree != nil {
+				cat = "link"
+			}
+			n.acct[l] = meter.Account(cat)
+		}
 	}
 	if reg != nil {
 		for k := Kind(0); k < numKinds; k++ {
@@ -174,13 +184,11 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 func (n *Network) Topology() topo.Topology { return n.topo }
 
 func (n *Network) link(level, group, dir int) *sim.Resource {
-	k := linkKey{level, group, dir}
-	r, ok := n.links[k]
-	if !ok {
-		r = sim.NewResource(n.eng, fmt.Sprintf("link-l%d-g%d-d%d", level, group, dir), n.cfg.LinkCapacity)
-		n.links[k] = r
+	slot := &n.links[level][2*group+dir]
+	if *slot == nil {
+		*slot = sim.NewResource(n.eng, fmt.Sprintf("link-l%d-g%d-d%d", level, group, dir), n.cfg.LinkCapacity)
 	}
-	return r
+	return *slot
 }
 
 // LinkStat is one link's identity and time-weighted load, for the
@@ -200,51 +208,47 @@ type LinkStat struct {
 }
 
 // LinkStats returns every link instantiated so far with its utilization
-// over [0, now], sorted by (level, group, dir) for deterministic output.
+// over [0, now], in (level, group, dir) order for deterministic output.
 // Links never traversed are absent: they were never created.
 func (n *Network) LinkStats(now sim.Time) []LinkStat {
-	out := make([]LinkStat, 0, len(n.links))
-	for k, r := range n.links {
-		out = append(out, LinkStat{
-			Level: k.level, Group: k.group, Dir: k.dir, Name: r.Name(),
-			Utilization: r.Utilization(now), Waited: r.TotalWait(),
-			Grants: r.Acquisitions(), MaxQueue: r.MaxQueue(),
-		})
+	var out []LinkStat
+	for level, row := range n.links {
+		for i, r := range row {
+			if r == nil {
+				continue
+			}
+			out = append(out, LinkStat{
+				Level: level, Group: i / 2, Dir: i % 2, Name: r.Name(),
+				Utilization: r.Utilization(now), Waited: r.TotalWait(),
+				Grants: r.Acquisitions(), MaxQueue: r.MaxQueue(),
+			})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Dir < b.Dir
-	})
 	return out
 }
 
-// pathLinksInto appends the ordered links a src→dst message traverses to
-// buf, with the level of each link (for serialization bandwidth). It
-// returns nil for self-sends and non-tree topologies (uniform model:
-// HopDistance anonymous links, contention-free).
-func (n *Network) pathLinksInto(buf []linkLevel, src, dst int) []linkLevel {
-	if src == dst || n.tree == nil {
-		return nil
+// pathLinksInto returns the ordered hops of a size-byte src→dst message
+// on a tree, in buf's backing array: up from src through the first hops
+// levels, then down to dst. hops is the tree's LCA level of src and dst.
+// Each hop holds its link for the level's router latency plus the
+// message's serialization, computed once per level.
+func (n *Network) pathLinksInto(buf []pathHop, src, dst, hops, size int) []pathHop {
+	buf = buf[:0]
+	for l := 0; l < hops; l++ {
+		hold := n.cfg.Levels[l].HopLatency + n.serialization(l, size)
+		buf = append(buf, pathHop{link: n.link(l, src/n.tree.GroupSize(l), 0), hold: hold})
 	}
-	lca := n.tree.LCALevel(src, dst)
-	for l := 0; l < lca; l++ {
-		buf = append(buf, linkLevel{link: n.link(l, n.tree.GroupOf(l, src), 0), level: l})
-	}
-	for l := lca - 1; l >= 0; l-- {
-		buf = append(buf, linkLevel{link: n.link(l, n.tree.GroupOf(l, dst), 1), level: l})
+	for l := hops - 1; l >= 0; l-- {
+		buf = append(buf, pathHop{link: n.link(l, dst/n.tree.GroupSize(l), 1), hold: buf[l].hold})
 	}
 	return buf
 }
 
-type linkLevel struct {
-	link  *sim.Resource
-	level int
+// pathHop is one link of a message's path and how long the message
+// holds it.
+type pathHop struct {
+	link *sim.Resource
+	hold sim.Time
 }
 
 // serialization returns the time to push size bytes through a level link.
@@ -285,9 +289,8 @@ func (n *Network) Latency(src, dst, size int) sim.Time {
 // link grant expires. done or (dfn, darg) is the delivery notification.
 type sendOp struct {
 	n    *Network
-	path []linkLevel
+	path []pathHop
 	i    int
-	size int
 	done func()
 	dfn  func(any)
 	darg any
@@ -317,10 +320,9 @@ func sendStep(a any) {
 		sendDeliver(a)
 		return
 	}
-	pl := op.path[op.i]
+	h := op.path[op.i]
 	op.i++
-	hold := op.n.cfg.Levels[pl.level].HopLatency + op.n.serialization(pl.level, op.size)
-	pl.link.UseCall(hold, sendStep, op)
+	h.link.UseCall(h.hold, sendStep, op)
 }
 
 func sendDeliver(a any) {
@@ -348,7 +350,8 @@ func (n *Network) SendCall(src, dst, size int, kind Kind, fn func(any), arg any)
 }
 
 func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any), darg any) {
-	n.count(kind, src, dst, size)
+	hops := n.topo.HopDistance(src, dst)
+	n.count(kind, hops, size)
 	if src == dst {
 		if dfn != nil {
 			dfn(darg)
@@ -358,14 +361,14 @@ func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any)
 		return
 	}
 	op := n.getSendOp()
-	op.n, op.size, op.done, op.dfn, op.darg = n, size, done, dfn, darg
+	op.n, op.done, op.dfn, op.darg = n, done, dfn, darg
 	op.i = 0
 	if n.tree == nil {
 		// Non-tree topology: analytic latency, no contention modelling.
 		n.eng.AfterCall(n.Latency(src, dst, size), sendDeliver, op)
 		return
 	}
-	op.path = n.pathLinksInto(op.path[:0], src, dst)
+	op.path = n.pathLinksInto(op.path, src, dst, hops, size)
 	sendStep(op)
 }
 
@@ -422,12 +425,13 @@ func (n *Network) RoundTrip(src, dst, reqSize, respSize int, kind Kind, done fun
 	n.SendCall(src, dst, reqSize, kind, rtRespond, op)
 }
 
-func (n *Network) count(kind Kind, src, dst, size int) {
+// count records a message of size bytes over hops hops in the registry
+// and charges its flit-hop energy to the meter.
+func (n *Network) count(kind Kind, hops, size int) {
 	if n.reg != nil {
 		n.ctrMsgs[kind].Inc()
 		n.ctrBytes.Add(uint64(size))
 	}
-	hops := n.topo.HopDistance(src, dst)
 	if n.reg != nil && hops > 0 {
 		n.ctrHops.Add(uint64(hops))
 		n.statHops.Observe(float64(hops))
@@ -440,19 +444,16 @@ func (n *Network) count(kind Kind, src, dst, size int) {
 		flits = 1
 	}
 	if n.tree != nil {
-		lca := n.tree.LCALevel(src, dst)
-		for l := 0; l < lca; l++ {
+		for l := 0; l < hops; l++ {
 			per := n.meter.Model.NoCHopPerFlit
-			cat := "noc"
 			if n.cfg.Levels[l].OffChip {
 				per = n.meter.Model.LinkPerFlit
-				cat = "link"
 			}
-			n.meter.Charge(cat, 2*energy.Joules(flits)*per)
+			n.acct[l].Charge(2 * energy.Joules(flits) * per)
 		}
 		return
 	}
-	n.meter.Charge("noc", energy.Joules(hops*flits)*n.meter.Model.NoCHopPerFlit)
+	n.acct[0].Charge(energy.Joules(hops*flits) * n.meter.Model.NoCHopPerFlit)
 }
 
 // DMAConfig models a descriptor-based DMA engine: the paper argues DMA

@@ -298,3 +298,30 @@ func TestSendConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSendZeroAlloc enforces the NoC half of the zero-alloc contract in
+// docs/perf.md: a warmed SendCall over a 1-, 2- or 3-level path, with the
+// meter and registry on, allocates nothing.
+func TestSendZeroAlloc(t *testing.T) {
+	eng, n, _, _ := newNet(t, 4, 2, 2)
+	delivered := 0
+	count := func(a any) { *a.(*int)++ }
+	for levels, dst := range []int{1, 4, 8} {
+		if got := n.Topology().HopDistance(0, dst); got != levels+1 {
+			t.Fatalf("0->%d spans %d levels, want %d", dst, got, levels+1)
+		}
+		send := func() {
+			n.SendCall(0, dst, 256, Store, count, &delivered)
+			n.SendCall(dst, 0, 64, Load, count, &delivered)
+			eng.RunUntilIdle()
+		}
+		send() // create the path's links and grow the pools
+		before := delivered
+		if a := testing.AllocsPerRun(100, send); a != 0 {
+			t.Errorf("SendCall 0<->%d: %v allocations per warmed pair, want 0", dst, a)
+		}
+		if delivered-before != 2*101 {
+			t.Errorf("SendCall 0<->%d: %d deliveries, want %d", dst, delivered-before, 2*101)
+		}
+	}
+}
