@@ -114,3 +114,26 @@ func TestStreamZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestAtomicZeroAlloc extends the contract to atomics: a warmed
+// AtomicRMW with pre-built callbacks allocates nothing, whether it runs
+// at the owner or crosses one or two interconnect levels to reach it.
+func TestAtomicZeroAlloc(t *testing.T) {
+	eng, s, addr := allocSpace(allocCase{cacher: 1}, 4096)
+	inc := func(old uint64) uint64 { return old + 1 }
+	var last uint64
+	done := func(old uint64) { last = old }
+	for _, node := range []int{1, 0, 5} {
+		atomics := func() {
+			s.AtomicRMW(node, addr, inc, done)
+			s.AtomicRMW(node, addr, inc, done)
+			eng.RunUntilIdle()
+		}
+		if n := testing.AllocsPerRun(100, atomics); n != 0 {
+			t.Errorf("AtomicRMW from node %d to owner 1: %v allocations per warmed pair, want 0", node, n)
+		}
+	}
+	if want := uint64(3*2*101 - 1); last != want || s.PeekWord(addr) != want+1 {
+		t.Errorf("last old value %d, word %d; want %d, %d", last, s.PeekWord(addr), want, want+1)
+	}
+}

@@ -406,7 +406,8 @@ func (s *Space) WriteWord(node int, addr uint64, v uint64, done func()) {
 // lineOp is one pooled page-local access walking a §4.1 timing path
 // through static callbacks. Its completion is the stream's lineDone,
 // done() or word(v), whichever is set; dst, when set, receives the bytes
-// at delivery.
+// at delivery. An atomic runs rmw on the word at the owner and completes
+// with word(old).
 type lineOp struct {
 	s      *Space
 	p      *page
@@ -420,6 +421,8 @@ type lineOp struct {
 	stream *streamOp
 	done   func()
 	word   func(uint64)
+	rmw    func(uint64) uint64
+	old    uint64
 	next   *lineOp
 }
 
@@ -586,37 +589,52 @@ func (s *Space) PokeWord(addr uint64, v uint64) {
 // load/store messages preferable to DMA (§4.1).
 func (s *Space) AtomicRMW(node int, addr uint64, f func(old uint64) uint64, done func(old uint64)) {
 	s.checkSpan(addr, 8)
-	p := s.pageOf(addr)
-	owner := p.Owner()
-	// exec runs at the owner: the word is read, transformed and written
-	// under the owner's atomic unit.
-	exec := func() {
-		ow := s.wm(owner)
-		ow.atomic.Acquire(func() {
-			ow.dram.Access(8, func() {
-				old := s.PeekWord(addr)
-				s.PokeWord(addr, f(old))
-				ow.atomic.Release()
-				if node == owner {
-					if done != nil {
-						done(old)
-					}
-					return
-				}
-				s.net.Send(owner, node, s.cfg.CtrlBytes, noc.Sync, func() {
-					if done != nil {
-						done(old)
-					}
-				})
-			})
-		})
-	}
+	l := s.newLine(node, addr, 8)
+	l.rmw, l.word = f, done
 	s.count(ctrAtomics)
-	if node == owner {
-		exec()
+	if node == l.owner {
+		atomicAtOwner(l)
 		return
 	}
-	s.net.Send(node, owner, s.cfg.CtrlBytes, noc.Sync, exec)
+	s.net.SendCall(node, l.owner, s.cfg.CtrlBytes, noc.Sync, atomicAtOwner, l)
+}
+
+// atomicAtOwner queues an atomic that reached its owner on the owner's
+// atomic unit.
+func atomicAtOwner(a any) {
+	l := a.(*lineOp)
+	l.s.wm(l.owner).atomic.AcquireCall(atomicAcquired, l)
+}
+
+// atomicAcquired reads the word from the owner's DRAM under the unit.
+func atomicAcquired(a any) {
+	l := a.(*lineOp)
+	l.s.wm(l.owner).dram.AccessCall(8, atomicExec, l)
+}
+
+// atomicExec transforms and writes the word, frees the atomic unit and
+// returns the old value to the requester.
+func atomicExec(a any) {
+	l := a.(*lineOp)
+	s, word := l.s, l.p.data[l.off:]
+	l.old = binary.LittleEndian.Uint64(word)
+	binary.LittleEndian.PutUint64(word, l.rmw(l.old))
+	s.wm(l.owner).atomic.Release()
+	if l.node == l.owner {
+		atomicDone(l)
+		return
+	}
+	s.net.SendCall(l.owner, l.node, s.cfg.CtrlBytes, noc.Sync, atomicDone, l)
+}
+
+// atomicDone completes the atomic at the requester with the old value.
+func atomicDone(a any) {
+	l := a.(*lineOp)
+	done, old := l.word, l.old
+	l.s.putLine(l) // recycle first: done may issue the next atomic
+	if done != nil {
+		done(old)
+	}
 }
 
 // Notify sends a small interprocessor message to dst's mailbox (the
