@@ -92,9 +92,6 @@ var (
 	PolicyModel rts.Policy = rts.PolicyModel{}
 	// PolicyOracle dispatches with perfect timing knowledge.
 	PolicyOracle rts.Policy = rts.PolicyOracle{}
-	// PolicyEDP minimizes the predicted energy-delay product using the
-	// history's time and energy models.
-	PolicyEDP rts.Policy = rts.PolicyEDP{}
 )
 
 // Accelerator-sharing policies for Config.Sharing.

@@ -49,17 +49,13 @@ type Instance struct {
 	Worker    int
 	StreamID  int
 
-	mgr       *Manager
-	pipe      *sim.Resource // issue slot: serializes occupancy, not latency
-	busy      int           // calls in flight (issue+drain)
-	lastUsed  sim.Time
-	calls     uint64
-	loaded    bool
-	failed    bool // region died under the module; calls complete with ErrInstanceLost
-	suspended bool
-	deferred  []deferredCall
-	onDrain   func()
-	forwardTo *Instance // set after Resume relocates the module
+	mgr      *Manager
+	pipe     *sim.Resource // issue slot: serializes occupancy, not latency
+	busy     int           // calls in flight (issue+drain)
+	lastUsed sim.Time
+	calls    uint64
+	loaded   bool
+	failed   bool // region died under the module; calls complete with ErrInstanceLost
 }
 
 // Calls returns how many invocations this instance has completed.
@@ -241,15 +237,6 @@ func (in *Instance) occupancyAndDrain(bindings map[string]float64) (sim.Time, si
 // pipelined compute, result streams out, and a completion notification
 // back to the caller.
 func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
-	if in.forwardTo != nil {
-		in.forwardTo.Invoke(caller, spec, done)
-		return
-	}
-	if in.suspended {
-		// Preempted: the call parks in the context and replays on Resume.
-		in.deferred = append(in.deferred, deferredCall{caller: caller, spec: spec, done: done})
-		return
-	}
 	if in.failed {
 		done(ErrInstanceLost)
 		return
@@ -272,11 +259,6 @@ func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
 		in.lastUsed = m.eng.Now()
 		if done != nil {
 			done(err)
-		}
-		if in.suspended && in.busy == 0 && in.onDrain != nil {
-			drain := in.onDrain
-			in.onDrain = nil
-			drain()
 		}
 	}
 	// Doorbell: a small store transaction from caller to the hosting

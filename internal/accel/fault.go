@@ -12,9 +12,6 @@ import (
 // than a task failure.
 var ErrInstanceLost = errors.New("accel: instance lost to region failure")
 
-// Failed reports whether the instance's fabric region has failed.
-func (in *Instance) Failed() bool { return in.failed }
-
 // MarkFailed transitions the instance to the failed state: it is no
 // longer loaded, future Invokes return ErrInstanceLost immediately, and
 // in-flight calls complete with ErrInstanceLost when their (already

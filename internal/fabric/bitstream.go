@@ -112,7 +112,6 @@ func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
 	start := f.eng.Now()
 	f.ensurePort().Use(dur, func() {
 		f.loads++
-		f.loadedBytes += uint64(bytes)
 		if f.meter != nil {
 			f.meter.Charge("reconfig", energy.Joules(bytes)*f.meter.Model.ReconfigPerByte)
 		}

@@ -175,9 +175,8 @@ type Fabric struct {
 	failed  []bool
 	nfailed int
 
-	loads       uint64
-	loadedBytes uint64
-	failures    uint64
+	loads    uint64
+	failures uint64
 }
 
 // New creates an empty fabric.
@@ -456,6 +455,3 @@ func (f *Fabric) PortUtilization(now sim.Time) float64 {
 	}
 	return f.port.Utilization(now)
 }
-
-// LoadedBytes returns total configuration bytes written to the port.
-func (f *Fabric) LoadedBytes() uint64 { return f.loadedBytes }

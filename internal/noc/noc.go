@@ -104,11 +104,10 @@ func DefaultConfig(levels int) Config {
 	return cfg
 }
 
-// Network is the interconnect instance over a topology.
+// Network is the interconnect instance over a tree.
 type Network struct {
 	eng   *sim.Engine
-	topo  topo.Topology
-	tree  *topo.Tree // non-nil when the topology is a tree (enables per-group links)
+	tree  *topo.Tree
 	cfg   Config
 	meter *energy.Meter
 	reg   *trace.Registry
@@ -134,11 +133,10 @@ type Network struct {
 	lsFree   *lsOp
 }
 
-// NewNetwork builds a network over t. When t is a *topo.Tree, each tree
-// group gets its own up/down link pair so contention is localized the way
-// Fig. 3's multi-layer interconnect implies; for other topologies a
-// uniform per-hop model is used.
-func NewNetwork(eng *sim.Engine, t topo.Topology, cfg Config, meter *energy.Meter, reg *trace.Registry) *Network {
+// NewNetwork builds a network over tree t. Each tree group gets its own
+// up/down link pair so contention is localized the way Fig. 3's
+// multi-layer interconnect implies.
+func NewNetwork(eng *sim.Engine, t *topo.Tree, cfg Config, meter *energy.Meter, reg *trace.Registry) *Network {
 	if len(cfg.Levels) < t.MaxHops() {
 		panic(fmt.Sprintf("noc: config has %d levels, topology needs %d", len(cfg.Levels), t.MaxHops()))
 	}
@@ -148,19 +146,16 @@ func NewNetwork(eng *sim.Engine, t topo.Topology, cfg Config, meter *energy.Mete
 	// Identically-shaped networks (every Worker port, every same-level
 	// link) share one canonical level table instead of one copy each.
 	cfg.Levels = intern.CanonicalSlice(cfg.Levels)
-	n := &Network{eng: eng, topo: t, cfg: cfg, meter: meter, reg: reg}
-	if tree, ok := t.(*topo.Tree); ok {
-		n.tree = tree
-		n.links = make([][]*sim.Resource, tree.MaxHops())
-		for l := range n.links {
-			n.links[l] = make([]*sim.Resource, 2*tree.NumWorkers()/tree.GroupSize(l))
-		}
+	n := &Network{eng: eng, tree: t, cfg: cfg, meter: meter, reg: reg}
+	n.links = make([][]*sim.Resource, t.MaxHops())
+	for l := range n.links {
+		n.links[l] = make([]*sim.Resource, 2*t.NumWorkers()/t.GroupSize(l))
 	}
 	if meter != nil {
 		n.acct = make([]*energy.Account, len(cfg.Levels))
 		for l, lc := range cfg.Levels {
 			cat := "noc"
-			if lc.OffChip && n.tree != nil {
+			if lc.OffChip {
 				cat = "link"
 			}
 			n.acct[l] = meter.Account(cat)
@@ -180,8 +175,8 @@ func NewNetwork(eng *sim.Engine, t topo.Topology, cfg Config, meter *energy.Mete
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Topology returns the network's topology.
-func (n *Network) Topology() topo.Topology { return n.topo }
+// Topology returns the tree the network spans.
+func (n *Network) Topology() *topo.Tree { return n.tree }
 
 func (n *Network) link(level, group, dir int) *sim.Resource {
 	slot := &n.links[level][2*group+dir]
@@ -227,8 +222,8 @@ func (n *Network) LinkStats(now sim.Time) []LinkStat {
 	return out
 }
 
-// pathLinksInto returns the ordered hops of a size-byte src→dst message
-// on a tree, in buf's backing array: up from src through the first hops
+// pathLinksInto returns the ordered hops of a size-byte src→dst message,
+// in buf's backing array: up from src through the first hops
 // levels, then down to dst. hops is the tree's LCA level of src and dst.
 // Each hop holds its link for the level's router latency plus the
 // message's serialization, computed once per level.
@@ -266,21 +261,10 @@ func (n *Network) Latency(src, dst, size int) sim.Time {
 		return 0
 	}
 	var total sim.Time
-	if n.tree != nil {
-		lca := n.tree.LCALevel(src, dst)
-		for l := 0; l < lca; l++ {
-			lc := n.cfg.Levels[l]
-			total += 2 * (lc.HopLatency + n.serialization(l, size)) // up and down
-		}
-		return total
-	}
-	hops := n.topo.HopDistance(src, dst)
-	for h := 0; h < hops; h++ {
-		l := h
-		if l >= len(n.cfg.Levels) {
-			l = len(n.cfg.Levels) - 1
-		}
-		total += n.cfg.Levels[l].HopLatency + n.serialization(l, size)
+	lca := n.tree.LCALevel(src, dst)
+	for l := 0; l < lca; l++ {
+		lc := n.cfg.Levels[l]
+		total += 2 * (lc.HopLatency + n.serialization(l, size)) // up and down
 	}
 	return total
 }
@@ -350,7 +334,7 @@ func (n *Network) SendCall(src, dst, size int, kind Kind, fn func(any), arg any)
 }
 
 func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any), darg any) {
-	hops := n.topo.HopDistance(src, dst)
+	hops := n.tree.LCALevel(src, dst)
 	n.count(kind, hops, size)
 	if src == dst {
 		if dfn != nil {
@@ -363,11 +347,6 @@ func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any)
 	op := n.getSendOp()
 	op.n, op.done, op.dfn, op.darg = n, done, dfn, darg
 	op.i = 0
-	if n.tree == nil {
-		// Non-tree topology: analytic latency, no contention modelling.
-		n.eng.AfterCall(n.Latency(src, dst, size), sendDeliver, op)
-		return
-	}
 	op.path = n.pathLinksInto(op.path, src, dst, hops, size)
 	sendStep(op)
 }
@@ -377,10 +356,10 @@ func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any)
 // link is seized, so in-flight messages finish but new ones queue behind
 // the outage in deterministic FIFO order — a transient link failure, not
 // a drop (UNIMEM transactions are never lost, only delayed). It reports
-// whether a link was flapped (false for non-tree topologies, which have
-// no per-group links to fail, or an out-of-range level).
+// whether a link was flapped (false for an out-of-range level or a
+// non-positive outage).
 func (n *Network) FlapLink(w, level int, down sim.Time) bool {
-	if n.tree == nil || level < 0 || level >= n.tree.MaxHops() || down <= 0 {
+	if level < 0 || level >= n.tree.MaxHops() || down <= 0 {
 		return false
 	}
 	group := n.tree.GroupOf(level, w)
@@ -443,17 +422,13 @@ func (n *Network) count(kind Kind, hops, size int) {
 	if flits == 0 {
 		flits = 1
 	}
-	if n.tree != nil {
-		for l := 0; l < hops; l++ {
-			per := n.meter.Model.NoCHopPerFlit
-			if n.cfg.Levels[l].OffChip {
-				per = n.meter.Model.LinkPerFlit
-			}
-			n.acct[l].Charge(2 * energy.Joules(flits) * per)
+	for l := 0; l < hops; l++ {
+		per := n.meter.Model.NoCHopPerFlit
+		if n.cfg.Levels[l].OffChip {
+			per = n.meter.Model.LinkPerFlit
 		}
-		return
+		n.acct[l].Charge(2 * energy.Joules(flits) * per)
 	}
-	n.acct[0].Charge(energy.Joules(hops*flits) * n.meter.Model.NoCHopPerFlit)
 }
 
 // DMAConfig models a descriptor-based DMA engine: the paper argues DMA

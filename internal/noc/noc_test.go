@@ -241,21 +241,6 @@ func TestConfigMismatchPanics(t *testing.T) {
 	NewNetwork(eng, tr, DefaultConfig(1), nil, nil)
 }
 
-func TestNonTreeTopologyUniformModel(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := topo.NewDragonfly(2, 2, 1)
-	n := NewNetwork(eng, d, DefaultConfig(d.MaxHops()), nil, nil)
-	var arrived sim.Time
-	n.Send(0, d.NumWorkers()-1, 64, Store, func() { arrived = eng.Now() })
-	eng.RunUntilIdle()
-	if arrived == 0 {
-		t.Error("dragonfly send did not take time")
-	}
-	if arrived != n.Latency(0, d.NumWorkers()-1, 64) {
-		t.Error("uniform model should match analytic latency")
-	}
-}
-
 // Property: analytic latency is symmetric, zero iff self, and monotone
 // under increasing message size.
 func TestLatencyProperties(t *testing.T) {

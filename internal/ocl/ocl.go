@@ -149,24 +149,6 @@ func (b *Buffer) Read(toWorker int, deps []*Event) *Event {
 	return ev
 }
 
-// Replicate copies the buffer's pages (read-only) into a Worker's DRAM
-// — the implicit data replication of §4.4 for read-mostly operands. A
-// later write through the space tears the replicas down.
-func (b *Buffer) Replicate(atWorker int, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		space := b.ctx.p.M.Space
-		pageB := uint64(space.PageBytes())
-		pages := (uint64(b.Bytes()) + pageB - 1) / pageB
-		wg := sim.NewWaitGroup(b.ctx.p.M.Eng, int(pages))
-		for p := uint64(0); p < pages; p++ {
-			space.Replicate(b.addr+p*pageB, atWorker, wg.DoneOne)
-		}
-		wg.Wait(func() { ev.complete(nil) })
-	})
-	return ev
-}
-
 // Migrate moves the buffer's pages to a Worker's DRAM (the implicit
 // data migration of §4.4), page by page.
 func (b *Buffer) Migrate(toWorker int, deps []*Event) *Event {
@@ -200,11 +182,6 @@ func (e *Event) complete(err error) {
 
 // Done reports whether the event has completed.
 func (e *Event) Done() bool { return e.sig.Done() }
-
-// OnComplete registers a callback.
-func (e *Event) OnComplete(fn func(*Event)) {
-	e.sig.Wait(func() { fn(e) })
-}
 
 // after runs fn once all deps complete (immediately when none).
 func after(deps []*Event, fn func()) {

@@ -279,20 +279,3 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestBufferReplicate(t *testing.T) {
-	ctx := newCtx(t, 4, 1)
-	b := ctx.CreateBuffer(1024, OnWorker, 0)
-	ev := b.Replicate(3, nil)
-	if err := ctx.WaitAll(ev); err != nil {
-		t.Fatal(err)
-	}
-	space := ctx.Machine().Space
-	if space.Replicas(b.Addr()) != 1 {
-		t.Errorf("replicas = %d, want 1", space.Replicas(b.Addr()))
-	}
-	// Owner unchanged — replication is not migration.
-	if space.OwnerOf(b.Addr()) != 0 {
-		t.Error("replication moved ownership")
-	}
-}

@@ -134,8 +134,8 @@ type Stats struct {
 	Balance float64
 }
 
-// Evaluate computes halo-communication statistics on the topology.
-func (p *Partition) Evaluate(t topo.Topology) Stats {
+// Evaluate computes halo-communication statistics on the tree.
+func (p *Partition) Evaluate(t *topo.Tree) Stats {
 	if t.NumWorkers() < p.P {
 		panic("part: topology smaller than partition")
 	}

@@ -24,7 +24,7 @@ func TestStripsCoverAndBalance(t *testing.T) {
 			t.Errorf("worker %d owns %d cells, want 64", w, c)
 		}
 	}
-	s := p.Evaluate(topo.Flat{Workers: 4})
+	s := p.Evaluate(topo.NewTree(4))
 	if s.Balance != 1.0 {
 		t.Errorf("balance = %v", s.Balance)
 	}
@@ -36,8 +36,8 @@ func TestStripsCoverAndBalance(t *testing.T) {
 
 func TestTilesLowerBoundaryThanStrips(t *testing.T) {
 	// 2D tiles have better surface-to-volume than 1D strips for P ≥ 4.
-	strips := Strips(64, 64, 16).Evaluate(topo.Flat{Workers: 16})
-	tiles := Tiles(64, 64, 16).Evaluate(topo.Flat{Workers: 16})
+	strips := Strips(64, 64, 16).Evaluate(topo.NewTree(16))
+	tiles := Tiles(64, 64, 16).Evaluate(topo.NewTree(16))
 	if tiles.BoundaryCells >= strips.BoundaryCells {
 		t.Errorf("tiles boundary (%d) should be below strips (%d)",
 			tiles.BoundaryCells, strips.BoundaryCells)
@@ -99,7 +99,7 @@ func TestEvaluatePanicsOnSmallTopology(t *testing.T) {
 			t.Error("small topology did not panic")
 		}
 	}()
-	p.Evaluate(topo.Flat{Workers: 4})
+	p.Evaluate(topo.NewTree(4))
 }
 
 func TestNewPartitionPanics(t *testing.T) {

@@ -128,27 +128,31 @@ func sameBits(t *testing.T, what string, r *Regression, w []float64) {
 
 func TestNormalSolveMatchesFit(t *testing.T) {
 	rng := sim.NewRNG(4)
-	var acc Normal
+	// Two targets of very different scale, each in its own accumulator.
+	var accs [2]Normal
 	var x [][]float64
-	var y0, y1 []float64
+	var ys [2][]float64
 	for k := 0; k < 200; k++ {
 		a, b, c := rng.Float64()*1e4, rng.Float64()*1e3, float64(k%7)
 		row := []float64{a, b, c}
 		t0, t1 := 3*a+2*b+rng.Float64(), 1e-12*a+rng.Float64()*1e-11
-		if err := acc.Add(row, t0, t1); err != nil {
-			t.Fatal(err)
+		x = append(x, row)
+		for target, yt := range [2]float64{t0, t1} {
+			if err := accs[target].Add(row, yt); err != nil {
+				t.Fatal(err)
+			}
+			ys[target] = append(ys[target], yt)
 		}
-		x, y0, y1 = append(x, row), append(y0, t0), append(y1, t1)
 		if k < 3 {
 			continue
 		}
-		for target, y := range [][]float64{y0, y1} {
+		for target, y := range ys {
 			want, err := batchFit(1e-6, x, y)
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := Regression{Lambda: 1e-6}
-			if err := acc.Solve(&r, target); err != nil {
+			if err := accs[target].Solve(&r); err != nil {
 				t.Fatal(err)
 			}
 			sameBits(t, "Normal.Solve", &r, want)
@@ -164,11 +168,8 @@ func TestNormalSolveMatchesFit(t *testing.T) {
 func TestNormalErrors(t *testing.T) {
 	var r Regression
 	var acc Normal
-	if err := acc.Solve(&r, 0); !errors.Is(err, ErrBadShape) {
+	if err := acc.Solve(&r); !errors.Is(err, ErrBadShape) {
 		t.Errorf("Solve with no rows: %v, want ErrBadShape", err)
-	}
-	if err := acc.Add([]float64{1}); !errors.Is(err, ErrBadShape) {
-		t.Errorf("Add with no targets: %v, want ErrBadShape", err)
 	}
 	rows := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}
 	for _, row := range rows {
@@ -179,14 +180,8 @@ func TestNormalErrors(t *testing.T) {
 	if err := acc.Add([]float64{1, 2, 3}, 1); !errors.Is(err, ErrBadShape) {
 		t.Errorf("ragged row: %v, want ErrBadShape", err)
 	}
-	if err := acc.Add([]float64{1, 2}, 1, 2); !errors.Is(err, ErrBadShape) {
-		t.Errorf("extra target: %v, want ErrBadShape", err)
-	}
-	if err := acc.Solve(&r, 1); !errors.Is(err, ErrBadShape) {
-		t.Errorf("Solve of a missing target: %v, want ErrBadShape", err)
-	}
 	// Rejected rows fold nothing: the fit is still the four good rows'.
-	if err := acc.Solve(&r, 0); err != nil {
+	if err := acc.Solve(&r); err != nil {
 		t.Fatal(err)
 	}
 	want, err := batchFit(0, rows, []float64{1, 2, 3, 4})
@@ -241,108 +236,6 @@ func TestRegressionProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPCARecoverDirection(t *testing.T) {
-	// Points on a line y=2x plus tiny noise: first PC ≈ (1,2)/√5.
-	rng := sim.NewRNG(4)
-	var x [][]float64
-	for i := 0; i < 300; i++ {
-		a := rng.NormFloat64()
-		x = append(x, []float64{a + 0.01*rng.NormFloat64(), 2*a + 0.01*rng.NormFloat64()})
-	}
-	p, err := FitPCA(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := p.Components[0]
-	want := []float64{1 / math.Sqrt(5), 2 / math.Sqrt(5)}
-	dot := c[0]*want[0] + c[1]*want[1]
-	if math.Abs(math.Abs(dot)-1) > 1e-3 {
-		t.Errorf("first PC %v not aligned with (1,2): |dot|=%v", c, math.Abs(dot))
-	}
-	if len(p.Variances) >= 2 && p.Variances[1] > p.Variances[0]*0.01 {
-		t.Errorf("second PC variance %v should be tiny vs %v", p.Variances[1], p.Variances[0])
-	}
-}
-
-func TestPCAProject(t *testing.T) {
-	x := [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	p, err := FitPCA(x, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projection of the mean is 0; points spread symmetrically.
-	proj := p.Project([]float64{1.5, 1.5})
-	if math.Abs(proj[0]) > 1e-9 {
-		t.Errorf("mean projects to %v, want 0", proj[0])
-	}
-	a := p.Project([]float64{0, 0})[0]
-	b := p.Project([]float64{3, 3})[0]
-	if math.Abs(a+b) > 1e-9 {
-		t.Errorf("symmetric points project to %v, %v", a, b)
-	}
-}
-
-func TestPCAErrors(t *testing.T) {
-	if _, err := FitPCA(nil, 1); err == nil {
-		t.Error("empty PCA should error")
-	}
-	if _, err := FitPCA([][]float64{{1, 2}}, 3); err == nil {
-		t.Error("k > d should error")
-	}
-	if _, err := FitPCA([][]float64{{1}, {1}, {1}}, 1); err == nil {
-		t.Error("zero-variance data should error")
-	}
-	if _, err := FitPCA([][]float64{{1, 2}, {3}}, 1); err == nil {
-		t.Error("ragged rows should error")
-	}
-}
-
-func TestSVMSeparable(t *testing.T) {
-	// Separable: class +1 when x0 + x1 > 10.
-	rng := sim.NewRNG(5)
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 400; i++ {
-		a, b := rng.Float64()*10, rng.Float64()*10
-		x = append(x, []float64{a, b})
-		if a+b > 10 {
-			y = append(y, 1)
-		} else {
-			y = append(y, -1)
-		}
-	}
-	var s SVM
-	if err := s.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := range x {
-		if s.Predict(x[i]) == y[i] {
-			correct++
-		}
-	}
-	acc := float64(correct) / float64(len(x))
-	if acc < 0.95 {
-		t.Errorf("training accuracy %.2f too low for separable data", acc)
-	}
-	if s.Predict([]float64{9, 9}) != 1 || s.Predict([]float64{1, 1}) != -1 {
-		t.Error("obvious points misclassified")
-	}
-}
-
-func TestSVMErrors(t *testing.T) {
-	var s SVM
-	if err := s.Fit(nil, nil); err == nil {
-		t.Error("empty SVM fit should error")
-	}
-	if err := s.Fit([][]float64{{1}}, []float64{0.5}); err == nil {
-		t.Error("non ±1 labels should error")
-	}
-	if err := s.Fit([][]float64{{1}, {2, 3}}, []float64{1, -1}); err == nil {
-		t.Error("ragged SVM rows should error")
 	}
 }
 

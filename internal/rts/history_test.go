@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ecoscale/internal/energy"
 	"ecoscale/internal/perfmodel"
 	"ecoscale/internal/sim"
 )
@@ -43,14 +42,13 @@ func sameModel(a, b *perfmodel.Regression) bool {
 // keptRows is the test's own copy of what History was given for one
 // (kernel, device) pair.
 type keptRows struct {
-	xs     [][]float64
-	ts, es []float64
+	xs [][]float64
+	ts []float64
 }
 
 func (k *keptRows) add(r Record) {
 	k.xs = append(k.xs, r.Features)
 	k.ts = append(k.ts, float64(r.Duration))
-	k.es = append(k.es, float64(r.Energy))
 }
 
 // checkHistory compares every model and counter of h against the records
@@ -76,9 +74,6 @@ func checkHistory(t *testing.T, step int, h *History, kept map[string]map[Device
 			if !sameModel(h.Model(kernel, dev), refFit(k.xs, k.ts)) {
 				t.Fatalf("step %d: Model(%s, %s) differs from a batch fit", step, kernel, dev)
 			}
-			if !sameModel(h.EnergyModel(kernel, dev), refFit(k.xs, k.es)) {
-				t.Fatalf("step %d: EnergyModel(%s, %s) differs from a batch fit", step, kernel, dev)
-			}
 		}
 		if got := h.TotalTime(kernel); got != total {
 			t.Fatalf("step %d: TotalTime(%s) = %d, want %d", step, kernel, got, total)
@@ -103,8 +98,7 @@ func testHistoryInterleaved(t *testing.T) {
 		ops := float64(64 + rng.Intn(1<<16))
 		mem := float64(16 + rng.Intn(1<<12))
 		r := Record{Kernel: kernel, Device: dev, Features: []float64{ops, mem},
-			Duration: sim.Time(3*ops + 7*mem + float64(rng.Intn(1000))),
-			Energy:   energy.Joules(ops*2.5e-12 + mem*1e-11 + rng.Float64()*1e-10)}
+			Duration: sim.Time(3*ops + 7*mem + float64(rng.Intn(1000)))}
 		h.Add(r)
 		if kept[kernel][dev] == nil {
 			kept[kernel][dev] = &keptRows{}
@@ -112,7 +106,7 @@ func testHistoryInterleaved(t *testing.T) {
 		kept[kernel][dev].add(r)
 		checkHistory(t, i, h, kept, i+1)
 	}
-	if h.Model("fir", DeviceHW) == nil || h.EnergyModel("scale", DeviceCPU) == nil {
+	if h.Model("fir", DeviceHW) == nil || h.Model("scale", DeviceCPU) == nil {
 		t.Fatal("no model after 300 samples")
 	}
 	if h.Model("idle", DeviceCPU) != nil || h.TotalTime("idle") != 0 {
@@ -124,24 +118,24 @@ func testHistoryInterleaved(t *testing.T) {
 // fewer than 4 samples, a ragged Features width and a singular system.
 func testHistoryRaggedCollinear(t *testing.T) {
 	add := func(h *History, kernel string, f []float64, d sim.Time) {
-		h.Add(Record{Kernel: kernel, Device: DeviceCPU, Features: f, Duration: d, Energy: energy.Joules(d) * 1e-12})
+		h.Add(Record{Kernel: kernel, Device: DeviceCPU, Features: f, Duration: d})
 	}
 	h := NewHistory()
 	for i := 0; i < 3; i++ {
 		add(h, "x", []float64{float64(i), float64(2 * i * i)}, sim.Time(10+i))
-		if h.Model("x", DeviceCPU) != nil || h.EnergyModel("x", DeviceCPU) != nil {
+		if h.Model("x", DeviceCPU) != nil {
 			t.Fatalf("model from %d samples (min is 4)", i+1)
 		}
 	}
 	add(h, "x", []float64{3, 18}, 13)
-	if h.Model("x", DeviceCPU) == nil || h.EnergyModel("x", DeviceCPU) == nil {
+	if h.Model("x", DeviceCPU) == nil {
 		t.Fatal("no model from 4 independent samples")
 	}
 	// One row of another width poisons the pair for good.
 	add(h, "x", []float64{4, 32, 1}, 14)
 	for i := 5; i < 10; i++ {
 		add(h, "x", []float64{float64(i), float64(2 * i * i)}, sim.Time(10+i))
-		if h.Model("x", DeviceCPU) != nil || h.EnergyModel("x", DeviceCPU) != nil {
+		if h.Model("x", DeviceCPU) != nil {
 			t.Fatalf("model after a ragged row (%d samples)", i+1)
 		}
 	}
@@ -174,20 +168,19 @@ func TestHistoryZeroAlloc(t *testing.T) {
 	f := []float64{1, 2}
 	for i := 0; i < 8; i++ {
 		f[0], f[1] = float64(100+17*i), float64(3*i*i)
-		h.Add(Record{Kernel: "k", Device: DeviceHW, Features: f, Duration: sim.Time(50 + i*i), Energy: 1e-9})
+		h.Add(Record{Kernel: "k", Device: DeviceHW, Features: f, Duration: sim.Time(50 + i*i)})
 	}
-	if h.Model("k", DeviceHW) == nil || h.EnergyModel("k", DeviceHW) == nil {
+	if h.Model("k", DeviceHW) == nil {
 		t.Fatal("no model from 8 samples")
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		h.Model("k", DeviceHW)
-		h.EnergyModel("k", DeviceHW)
 		h.Samples("k", DeviceHW)
 		h.TotalTime("k")
 	}); a != 0 {
 		t.Errorf("model lookups on an unchanged history allocate %v times, want 0", a)
 	}
-	r := Record{Kernel: "k", Device: DeviceHW, Features: f, Duration: 77, Energy: 2e-9}
+	r := Record{Kernel: "k", Device: DeviceHW, Features: f, Duration: 77}
 	if a := testing.AllocsPerRun(100, func() { h.Add(r) }); a != 0 {
 		t.Errorf("Add to an existing pair allocates %v times, want 0", a)
 	}

@@ -74,15 +74,13 @@ type Record struct {
 	Device   Device
 	Features []float64
 	Duration sim.Time
-	// Energy is the dynamic energy attributed to the task.
-	Energy energy.Joules
 }
 
 // History is the Execution History block: per (kernel, device) samples
 // feeding the runtime models. It keeps no raw records: each pair holds
-// running normal-equation sums (see perfmodel.Normal) for its time and
-// energy targets, so a model is refit from the sums in O(1) of history
-// length, and solved at most once per Add to that pair.
+// running normal-equation sums (see perfmodel.Normal) of its durations,
+// so a model is refit from the sums in O(1) of history length, and
+// solved at most once per Add to that pair.
 type History struct {
 	n     int
 	byKey map[histKey]*histEntry
@@ -93,22 +91,15 @@ type histKey struct {
 	dev    Device
 }
 
-// Model targets, the columns of histEntry.acc.
-const (
-	targetTime = iota
-	targetEnergy
-	numTargets
-)
-
 // histEntry is one (kernel, device) pair's running state.
 type histEntry struct {
 	n     int
 	total sim.Time
 	acc   perfmodel.Normal
-	// model caches each target's fit (nil when it failed) once solved[t];
-	// Add clears solved.
-	model  [numTargets]*perfmodel.Regression
-	solved [numTargets]bool
+	// model caches the fit (nil when it failed) once solved; Add clears
+	// solved.
+	model  *perfmodel.Regression
+	solved bool
 	// ragged marks a Features width that differs from the first
 	// record's: no model fits the pair from then on.
 	ragged bool
@@ -135,8 +126,8 @@ func (h *History) Add(r Record) {
 	}
 	e.n++
 	e.total += r.Duration
-	e.solved = [numTargets]bool{}
-	if !e.ragged && e.acc.Add(r.Features, float64(r.Duration), float64(r.Energy)) != nil {
+	e.solved = false
+	if !e.ragged && e.acc.Add(r.Features, float64(r.Duration)) != nil {
 		e.ragged = true
 	}
 }
@@ -168,29 +159,18 @@ func (h *History) TotalTime(kernel string) sim.Time {
 // The model is shared until the next Add to the pair: callers must not
 // modify it.
 func (h *History) Model(kernel string, dev Device) *perfmodel.Regression {
-	return h.fit(kernel, dev, targetTime)
-}
-
-// EnergyModel fits an energy-prediction regression for (kernel, device),
-// the power half of the §4.2 "execution time and power" models. Like
-// Model's, the result is shared and read-only.
-func (h *History) EnergyModel(kernel string, dev Device) *perfmodel.Regression {
-	return h.fit(kernel, dev, targetEnergy)
-}
-
-func (h *History) fit(kernel string, dev Device, target int) *perfmodel.Regression {
 	e := h.byKey[histKey{kernel, dev}]
 	if e == nil || e.n < 4 || e.ragged {
 		return nil
 	}
-	if !e.solved[target] {
+	if !e.solved {
 		reg := &perfmodel.Regression{Lambda: 1e-6}
-		if e.acc.Solve(reg, target) != nil {
+		if e.acc.Solve(reg) != nil {
 			reg = nil
 		}
-		e.model[target], e.solved[target] = reg, true
+		e.model, e.solved = reg, true
 	}
-	return e.model[target]
+	return e.model
 }
 
 // Policy selects the execution device for a task.
@@ -273,61 +253,6 @@ func (PolicyOracle) Choose(s *Scheduler, t *Task) Device {
 		return DeviceCPU
 	}
 	if hwTime+s.hwCallOverhead(t) < s.CPUModel.Time(t.SWStats) {
-		return DeviceHW
-	}
-	return DeviceCPU
-}
-
-// taskEnergy attributes dynamic energy to a task on a device, using the
-// meter's cost model (defaults when no meter is attached).
-func (s *Scheduler) taskEnergy(dev Device, t *Task) energy.Joules {
-	model := energy.DefaultCostModel()
-	if s.Meter != nil {
-		model = s.Meter.Model
-	}
-	if dev == DeviceHW {
-		bytes := 0
-		for _, sp := range t.Reads {
-			bytes += sp.Size
-		}
-		for _, sp := range t.Writes {
-			bytes += sp.Size
-		}
-		flits := energy.Joules((bytes + 15) / 16)
-		return energy.Joules(t.SWStats.Ops)*model.FPGAOp + flits*model.NoCHopPerFlit
-	}
-	return energy.Joules(t.SWStats.Ops)*model.CPUOp +
-		energy.Joules(t.SWStats.Loads+t.SWStats.Stores)*model.CacheAccess
-}
-
-// PolicyEDP minimizes the predicted energy-delay product using both the
-// time and energy history models — the §4.2 goal of selecting devices by
-// "execution time and energy consumption of tasks on CPUs and
-// reconfigurable systems".
-type PolicyEDP struct{}
-
-// Name implements Policy.
-func (PolicyEDP) Name() string { return "edp" }
-
-// Choose implements Policy.
-func (PolicyEDP) Choose(s *Scheduler, t *Task) Device {
-	if len(s.Domain.Instances(t.Kernel)) == 0 {
-		return DeviceCPU
-	}
-	tCPU := s.History.Model(t.Kernel, DeviceCPU)
-	tHW := s.History.Model(t.Kernel, DeviceHW)
-	eCPU := s.History.EnergyModel(t.Kernel, DeviceCPU)
-	eHW := s.History.EnergyModel(t.Kernel, DeviceHW)
-	if tCPU == nil || tHW == nil || eCPU == nil || eHW == nil {
-		if s.History.Samples(t.Kernel, DeviceCPU) <= s.History.Samples(t.Kernel, DeviceHW) {
-			return DeviceCPU
-		}
-		return DeviceHW
-	}
-	f := t.Features()
-	edpCPU := tCPU.Predict(f) * eCPU.Predict(f)
-	edpHW := tHW.Predict(f) * eHW.Predict(f)
-	if edpHW < edpCPU {
 		return DeviceHW
 	}
 	return DeviceCPU
@@ -664,7 +589,6 @@ func taskFinish(op *taskOp, err error) {
 	s.History.Add(Record{
 		Kernel: t.Kernel, Device: dev,
 		Features: t.Features(), Duration: now - start,
-		Energy: s.taskEnergy(dev, t),
 	})
 	if s.Flow != nil {
 		s.Flow.Add(int64(now), "runtime", "worker %d: %s completed on %s (recorded to history)",

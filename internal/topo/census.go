@@ -44,12 +44,6 @@ func (c *Census) MarkLive(w int) bool {
 	return true
 }
 
-// IsLive reports whether worker w has been marked live.
-func (c *Census) IsLive(w int) bool {
-	c.tree.checkWorker(w)
-	return c.live[w]
-}
-
 // LiveWorkers returns how many workers are live machine-wide.
 func (c *Census) LiveWorkers() int { return c.total }
 

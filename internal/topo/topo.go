@@ -4,30 +4,12 @@
 // and ultimately the full system, in a tree-like fashion. "Starting from
 // the leaves, each level up the tree would add one hop in the maximum
 // communication distance between any two processing units" (§2).
-//
-// The package also provides flat (crossbar) and Dragonfly reference
-// topologies, because §2 cites high-radix Dragonfly/Slimfly partitioning
-// as the application-side structure the machine hierarchy mirrors.
 package topo
 
 import (
 	"fmt"
 	"strings"
 )
-
-// Topology abstracts a machine's communication structure: the number of
-// leaf workers and the hop distance between any two of them.
-type Topology interface {
-	// Name identifies the topology for reports.
-	Name() string
-	// NumWorkers returns the number of leaf worker nodes.
-	NumWorkers() int
-	// HopDistance returns the number of interconnect hops a message
-	// travels between workers a and b (0 when a == b).
-	HopDistance(a, b int) int
-	// MaxHops returns the network diameter in hops.
-	MaxHops() int
-}
 
 // DefaultLevelNames are the conventional names of tree levels from the
 // leaf upward, matching the paper's description of the physical packaging
@@ -78,7 +60,7 @@ func NewTree(fanOut ...int) *Tree {
 	return t
 }
 
-// Name implements Topology.
+// Name identifies the tree for reports, e.g. "tree[4x2]".
 func (t *Tree) Name() string {
 	parts := make([]string, len(t.FanOut))
 	for i, f := range t.FanOut {
@@ -87,7 +69,7 @@ func (t *Tree) Name() string {
 	return "tree[" + strings.Join(parts, "x") + "]"
 }
 
-// NumWorkers implements Topology.
+// NumWorkers returns the number of leaf Workers.
 func (t *Tree) NumWorkers() int { return t.workers }
 
 // Levels returns the number of levels including the leaf level.
@@ -127,12 +109,13 @@ func (t *Tree) LCALevel(a, b int) int {
 	}
 }
 
-// HopDistance implements Topology. Per §2, each level up the tree adds
-// one hop, so the distance is the LCA level (same worker: 0 hops; same
-// compute node: 1 hop across the node's interconnect layer; and so on).
+// HopDistance returns the number of interconnect hops a message travels
+// between workers a and b. Per §2, each level up the tree adds one hop,
+// so the distance is the LCA level (same worker: 0 hops; same compute
+// node: 1 hop across the node's interconnect layer; and so on).
 func (t *Tree) HopDistance(a, b int) int { return t.LCALevel(a, b) }
 
-// MaxHops implements Topology.
+// MaxHops returns the network diameter in hops.
 func (t *Tree) MaxHops() int { return len(t.FanOut) }
 
 // ComputeNodeOf returns the compute-node (PGAS domain) index of worker w.
@@ -158,95 +141,4 @@ func (t *Tree) checkWorker(w int) {
 	if w < 0 || w >= t.workers {
 		panic(fmt.Sprintf("topo: worker %d out of range [0,%d)", w, t.workers))
 	}
-}
-
-// Flat is a single-stage crossbar: every distinct pair of workers is one
-// hop apart. It is the strawman against which the hierarchy is compared.
-type Flat struct{ Workers int }
-
-// Name implements Topology.
-func (f Flat) Name() string { return fmt.Sprintf("flat[%d]", f.Workers) }
-
-// NumWorkers implements Topology.
-func (f Flat) NumWorkers() int { return f.Workers }
-
-// HopDistance implements Topology.
-func (f Flat) HopDistance(a, b int) int {
-	if a == b {
-		return 0
-	}
-	return 1
-}
-
-// MaxHops implements Topology.
-func (f Flat) MaxHops() int {
-	if f.Workers <= 1 {
-		return 0
-	}
-	return 1
-}
-
-// Dragonfly is a canonical dragonfly(a, p, h): groups of a routers, p
-// workers per router, h global links per router. Minimal routing gives a
-// diameter of 3 router-to-router hops (local, global, local).
-type Dragonfly struct {
-	A int // routers per group
-	P int // workers per router
-	H int // global links per router (determines group count a*h+1)
-}
-
-// NewDragonfly returns the balanced dragonfly with the given radix
-// parameters. Group count is a*h+1 per the canonical construction.
-func NewDragonfly(a, p, h int) Dragonfly {
-	if a <= 0 || p <= 0 || h <= 0 {
-		panic("topo: dragonfly parameters must be positive")
-	}
-	return Dragonfly{A: a, P: p, H: h}
-}
-
-// Groups returns the number of dragonfly groups.
-func (d Dragonfly) Groups() int { return d.A*d.H + 1 }
-
-// Name implements Topology.
-func (d Dragonfly) Name() string { return fmt.Sprintf("dragonfly[a=%d,p=%d,h=%d]", d.A, d.P, d.H) }
-
-// NumWorkers implements Topology.
-func (d Dragonfly) NumWorkers() int { return d.Groups() * d.A * d.P }
-
-// routerOf returns (group, router) of a worker.
-func (d Dragonfly) routerOf(w int) (group, router int) {
-	r := w / d.P
-	return r / d.A, r % d.A
-}
-
-// HopDistance implements Topology: 0 same worker, 1 same router, 2 same
-// group, 4 otherwise (local + global + local router hops plus injection).
-func (d Dragonfly) HopDistance(a, b int) int {
-	if a == b {
-		return 0
-	}
-	ga, ra := d.routerOf(a)
-	gb, rb := d.routerOf(b)
-	switch {
-	case ga == gb && ra == rb:
-		return 1
-	case ga == gb:
-		return 2
-	default:
-		return 4
-	}
-}
-
-// MaxHops implements Topology.
-func (d Dragonfly) MaxHops() int {
-	if d.Groups() > 1 {
-		return 4
-	}
-	if d.A > 1 {
-		return 2
-	}
-	if d.P > 1 {
-		return 1
-	}
-	return 0
 }

@@ -62,7 +62,7 @@ type Domain struct {
 	// Reg, when non-nil, receives call counters labelled by kernel.
 	Reg *trace.Registry
 
-	topo      topo.Topology
+	tree      *topo.Tree
 	prov      ManagerProvider
 	instances map[string][]*accel.Instance // kernel name → deployed instances
 	pending   map[string]int               // queued calls per instance key
@@ -101,7 +101,7 @@ func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.Free
 
 // NewDomain creates a domain over per-Worker managers; mgrs[i] must be
 // Worker i's manager.
-func NewDomain(t topo.Topology, mgrs []*accel.Manager, eng *sim.Engine) *Domain {
+func NewDomain(t *topo.Tree, mgrs []*accel.Manager, eng *sim.Engine) *Domain {
 	if len(mgrs) != t.NumWorkers() {
 		panic(fmt.Sprintf("unilogic: %d managers for %d workers", len(mgrs), t.NumWorkers()))
 	}
@@ -110,12 +110,12 @@ func NewDomain(t topo.Topology, mgrs []*accel.Manager, eng *sim.Engine) *Domain 
 
 // NewDomainFrom creates a domain over a manager provider, which may
 // materialize managers lazily.
-func NewDomainFrom(t topo.Topology, prov ManagerProvider, eng *sim.Engine) *Domain {
+func NewDomainFrom(t *topo.Tree, prov ManagerProvider, eng *sim.Engine) *Domain {
 	if prov.NumWorkers() != t.NumWorkers() {
 		panic(fmt.Sprintf("unilogic: %d managers for %d workers", prov.NumWorkers(), t.NumWorkers()))
 	}
 	return &Domain{
-		topo: t, prov: prov, eng: eng,
+		tree: t, prov: prov, eng: eng,
 		instances: map[string][]*accel.Instance{},
 		pending:   map[string]int{},
 	}
@@ -180,30 +180,6 @@ func (d *Domain) Deregister(in *accel.Instance) bool {
 	return false
 }
 
-// DeregisterWorker drops every instance hosted on worker w (the Worker
-// died) and returns how many were removed, walking kernels in sorted
-// order for determinism.
-func (d *Domain) DeregisterWorker(w int) int {
-	n := 0
-	for _, name := range d.Kernels() {
-		ins := d.instances[name]
-		kept := ins[:0]
-		for _, in := range ins {
-			if in.Worker == w {
-				n++
-			} else {
-				kept = append(kept, in)
-			}
-		}
-		if len(kept) == 0 {
-			delete(d.instances, name)
-		} else {
-			d.instances[name] = kept
-		}
-	}
-	return n
-}
-
 // Calls returns total and remote (caller != hosting Worker) call counts.
 func (d *Domain) Calls() (total, remote uint64) { return d.calls, d.remoteCalls }
 
@@ -214,14 +190,9 @@ func key(in *accel.Instance) string {
 	return fmt.Sprintf("%s@%d", in.Impl.Kernel.Name, in.Worker)
 }
 
-// sameComputeNode reports whether two workers share a PGAS domain; on a
-// non-tree topology every worker is one domain.
+// sameComputeNode reports whether two workers share a PGAS domain.
 func (d *Domain) sameComputeNode(a, b int) bool {
-	tree, ok := d.topo.(*topo.Tree)
-	if !ok {
-		return true
-	}
-	return tree.ComputeNodeOf(a) == tree.ComputeNodeOf(b)
+	return d.tree.ComputeNodeOf(a) == d.tree.ComputeNodeOf(b)
 }
 
 // pick selects the best eligible instance for caller: least pending
@@ -240,7 +211,7 @@ func (d *Domain) pick(caller int, kernel string) *accel.Instance {
 			continue
 		}
 		load := d.pending[key(in)]
-		dist := d.topo.HopDistance(caller, in.Worker)
+		dist := d.tree.HopDistance(caller, in.Worker)
 		if best == nil || load < bestLoad ||
 			(load == bestLoad && dist < bestDist) ||
 			(load == bestLoad && dist == bestDist && in.Worker < best.Worker) {

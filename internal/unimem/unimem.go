@@ -96,7 +96,6 @@ type Space struct {
 	pages   map[uint64]*page
 	workers []*workerMem
 	next    uint64 // next free page number
-	reps    map[uint64]*replicaState
 
 	// Registry series, looked up on first use (see counter).
 	ctrs           [numCounters]*trace.Counter
@@ -180,31 +179,23 @@ const (
 	ctrNotifies
 	ctrMigrations
 	ctrEvacuations
-	ctrReplications
-	ctrReplicaInvalidations
-	ctrReplicaLocalReads
-	ctrReplicaRemoteReads
 	ctrStreamBytes
 	numCounters
 )
 
 var counterNames = [numCounters]string{
-	ctrCacheHits:            "unimem.cache_hits",
-	ctrCacheFills:           "unimem.cache_fills",
-	ctrLocalUncached:        "unimem.local_uncached",
-	ctrRemoteReads:          "unimem.remote_reads",
-	ctrRemoteWrites:         "unimem.remote_writes",
-	ctrWritebacks:           "unimem.writebacks",
-	ctrCacherMoves:          "unimem.cacher_moves",
-	ctrAtomics:              "unimem.atomics",
-	ctrNotifies:             "unimem.notifies",
-	ctrMigrations:           "unimem.migrations",
-	ctrEvacuations:          "unimem.evacuations",
-	ctrReplications:         "unimem.replications",
-	ctrReplicaInvalidations: "unimem.replica_invalidations",
-	ctrReplicaLocalReads:    "unimem.replica_local_reads",
-	ctrReplicaRemoteReads:   "unimem.replica_remote_reads",
-	ctrStreamBytes:          "unimem.stream_bytes",
+	ctrCacheHits:     "unimem.cache_hits",
+	ctrCacheFills:    "unimem.cache_fills",
+	ctrLocalUncached: "unimem.local_uncached",
+	ctrRemoteReads:   "unimem.remote_reads",
+	ctrRemoteWrites:  "unimem.remote_writes",
+	ctrWritebacks:    "unimem.writebacks",
+	ctrCacherMoves:   "unimem.cacher_moves",
+	ctrAtomics:       "unimem.atomics",
+	ctrNotifies:      "unimem.notifies",
+	ctrMigrations:    "unimem.migrations",
+	ctrEvacuations:   "unimem.evacuations",
+	ctrStreamBytes:   "unimem.stream_bytes",
 }
 
 // counter returns registry counter c, looking it up on first use: the
