@@ -2,9 +2,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test race lint bench bench-smoke bench-golden experiments scale-smoke race-soak fuzz
+.PHONY: check fmt vet build inline-check test race lint bench bench-smoke bench-golden experiments scale-smoke race-soak fuzz
 
-check: fmt vet lint build race experiments bench-smoke bench-golden scale-smoke
+check: fmt vet lint build inline-check race experiments bench-smoke bench-golden scale-smoke
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -24,6 +24,14 @@ lint: vet
 
 build:
 	go build ./...
+
+# (*Engine).push must stay small enough to inline into every schedule: a
+# wider heap entry once stopped that and slowed every event. Fails when the
+# compiler no longer reports it inlinable (docs/perf.md, "Delay lanes and
+# the heap of lane heads").
+inline-check:
+	@go build -gcflags=-m ./internal/sim 2>&1 | grep -q 'can inline (\*Engine).push' || \
+		{ echo "inline-check: (*Engine).push no longer inlines"; exit 1; }
 
 test:
 	go test ./...

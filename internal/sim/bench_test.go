@@ -80,8 +80,9 @@ func engineScheduleFire(n int) func() {
 	}
 }
 
-// engineDeepQueue keeps ~1024 events in flight with staggered delays,
-// exercising 4-ary sift depth on a realistically loaded heap.
+// engineDeepQueue keeps ~1024 events in flight over 64 staggered delays.
+// Some delays collide in the lane table, so both the lane rings and a
+// loaded 4-ary heap carry events.
 func engineDeepQueue(n int) func() {
 	e := sim.NewEngine(1)
 	s := &tickState{e: e, limit: n}
@@ -89,6 +90,21 @@ func engineDeepQueue(n int) func() {
 		s.n = 0
 		for i := 0; i < 1024; i++ {
 			e.AfterCall(sim.Time(1+i&63), deepTickFn, s)
+		}
+		e.RunUntilIdle()
+	}
+}
+
+// engineOneDelay keeps 1024 events in flight on a single delay, E2's
+// shape: after the staggered start every event rides one delay lane, so
+// the heap holds only the lane head and the rest wait in its ring.
+func engineOneDelay(n int) func() {
+	e := sim.NewEngine(1)
+	s := &tickState{e: e, limit: n, delay: 1024}
+	return func() {
+		s.n = 0
+		for i := 0; i < 1024; i++ {
+			e.AtCall(e.Now()+sim.Time(i), tickFn, s)
 		}
 		e.RunUntilIdle()
 	}
@@ -207,6 +223,8 @@ func BenchmarkEngineScheduleFireClosure(b *testing.B) {
 
 func BenchmarkEngineDeepQueue(b *testing.B) { benchShape(b, engineDeepQueue) }
 
+func BenchmarkEngineOneDelay(b *testing.B) { benchShape(b, engineOneDelay) }
+
 func BenchmarkEngineCancel(b *testing.B) { benchShape(b, engineCancel) }
 
 // BenchmarkResourceUseContended keeps 8 Use streams on a capacity-4
@@ -239,6 +257,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 		{"schedule_fire", engineScheduleFire},
 		{"schedule_cancel_fire", engineCancel},
 		{"deep_queue_1024", engineDeepQueue},
+		{"one_delay_1024", engineOneDelay},
 		{"resource_use_contended", func(n int) func() { return resourceUse(n, 4, 8) }},
 	} {
 		// AllocsPerRun makes one warm-up call, then measures one call of

@@ -1,7 +1,8 @@
 package sim_test
 
-// Kernel determinism property test: the pooled flat 4-ary lazy-cancel
-// kernel must order events exactly like the original container/heap
+// Kernel determinism property test: the pooled lazy-cancel kernel, with
+// its delay lanes in front of a flat 4-ary heap, must order events exactly
+// like the original container/heap
 // kernel (preserved in internal/sim/heapref) — same (at, seq) tie-break,
 // same Cancel semantics, same Run-deadline behaviour. A randomized
 // schedule/cancel workload drives both engines and the test requires
@@ -279,5 +280,149 @@ func TestDeathStormSelfDeterminism(t *testing.T) {
 	a2, b2, c2 := workloadDeathStorm(newKernel{sim.NewEngine(1)}, 77)
 	if a1 != a2 || b1 != b2 || c1 != c2 {
 		t.Fatalf("same-seed storms diverged: (%v %d %x) vs (%v %d %x)", a1, b1, c1, a2, b2, c2)
+	}
+}
+
+// delayMix picks the delay of each event a delay-mix workload schedules,
+// given the current time: the mixes below steer events onto and off the
+// kernel's delay lanes.
+type delayMix struct {
+	name  string
+	delay func(rng *rand.Rand, now sim.Time) sim.Time
+}
+
+var delayMixes = []delayMix{
+	// Hundreds of distinct delays: lane slots collide (the loser goes to
+	// the heap) and idle lanes are rebound to new delays.
+	{"wide", func(rng *rand.Rand, _ sim.Time) sim.Time { return sim.Time(rng.Intn(700)) }},
+	// E2's shape: nearly every event on one delay, with a few strays.
+	{"flood", func(rng *rand.Rand, _ sim.Time) sim.Time {
+		if rng.Intn(16) == 0 {
+			return sim.Time(rng.Intn(1000))
+		}
+		return 500
+	}},
+	// A handful of delays, including zero, like the NoC's hop times.
+	{"few", func(rng *rand.Rand, _ sim.Time) sim.Time {
+		return [...]sim.Time{0, 3, 40, 41, 250, 500, 1200}[rng.Intn(7)]
+	}},
+	// Absolute times on a 100-unit grid, so the delay d = at - now of
+	// events sharing a time differs with the moment each was scheduled.
+	{"absolute", func(rng *rand.Rand, now sim.Time) sim.Time {
+		return (now/100+1+sim.Time(rng.Intn(4)))*100 - now
+	}},
+}
+
+// workloadDelayMix runs a seeded workload whose delays come from mix:
+// events fan out, random pending events are cancelled (lane heads and
+// lane followers alike, since every pending event is a candidate), and
+// Run deadlines are often set to the time of a cancelled event, which may
+// be a cancelled lane head. It returns (final time, events run, FNV-1a
+// hash of the fired-event order).
+func workloadDelayMix(k kernelAPI, mix delayMix, seed int64) (sim.Time, uint64, uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	h := fnv.New64a()
+	var buf [8]byte
+	record := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+
+	type pending struct {
+		at     sim.Time
+		cancel func() bool
+	}
+	var handles []pending    // scheduled events, pending and fired alike
+	var cancelled []sim.Time // times of cancelled events
+	const budget = 6000
+	spawned := 0
+	var spawn func(tag uint64)
+	schedule := func() {
+		spawned++
+		tag := uint64(spawned)
+		at := k.Now() + mix.delay(rng, k.Now())
+		handles = append(handles, pending{at, k.At(at, func() { spawn(tag) })})
+	}
+	spawn = func(tag uint64) {
+		record(tag)
+		record(uint64(k.Now()))
+		for c := rng.Intn(4); c > 0 && spawned < budget; c-- {
+			schedule()
+		}
+		if rng.Intn(4) == 0 {
+			i := rng.Intn(len(handles))
+			if handles[i].cancel() {
+				record(0xC0FFEE)
+				cancelled = append(cancelled, handles[i].at)
+			}
+			handles[i] = handles[len(handles)-1]
+			handles = handles[:len(handles)-1]
+		}
+	}
+	for i := 0; i < 20; i++ {
+		schedule()
+	}
+	for i := 0; i < 40; i++ {
+		deadline := k.Now() + sim.Time(rng.Intn(300)+1)
+		if n := len(cancelled); n > 0 && rng.Intn(2) == 0 {
+			if at := cancelled[rng.Intn(n)]; at >= k.Now() {
+				deadline = at
+			}
+		}
+		k.Run(deadline)
+		record(uint64(k.Now()))
+		record(uint64(k.Pending()))
+	}
+	k.Run(sim.Forever)
+	return k.Now(), k.EventsRun(), h.Sum64()
+}
+
+// The delay lanes must not change the fired order: every delay mix must
+// leave the production kernel and heapref in lockstep.
+func TestKernelDelayLanesVsHeapRef(t *testing.T) {
+	for _, mix := range delayMixes {
+		for seed := int64(1); seed <= 10; seed++ {
+			nt, nr, nh := workloadDelayMix(newKernel{sim.NewEngine(1)}, mix, seed)
+			rt, rr, rh := workloadDelayMix(refKernel{heapref.NewEngine()}, mix, seed)
+			if nt != rt || nr != rr || nh != rh {
+				t.Fatalf("%s seed %d: kernels diverged: new=(t=%v run=%d hash=%x) ref=(t=%v run=%d hash=%x)",
+					mix.name, seed, nt, nr, nh, rt, rr, rh)
+			}
+		}
+	}
+}
+
+// Cancelled lane head at the deadline: two events share one delay, so the
+// first is its lane's head and the second its follower. With the head
+// cancelled, Run up to the head's time must fire nothing and stop at the
+// deadline; the followers then fire on time. Cancelling a follower must
+// leave the rest of the lane intact.
+func TestCancelledLaneHeadAtDeadline(t *testing.T) {
+	check := func(k kernelAPI) (sim.Time, uint64, int) {
+		var fired []sim.Time
+		note := func() { fired = append(fired, k.Now()) }
+		head := k.At(10, note) // delay 10, lane head
+		k.Run(5)
+		k.At(15, note)             // delay 10, follower
+		follower := k.At(15, note) // delay 10, second follower
+		k.At(k.Now()+10, note)     // delay 10, third follower
+		if !head() || !follower() {
+			t.Fatal("cancel of a pending lane entry returned false")
+		}
+		if end := k.Run(10); end != 10 || len(fired) != 0 {
+			t.Fatalf("Run(10) = %v with %d fired, want 10 with none", end, len(fired))
+		}
+		k.Run(sim.Forever)
+		if len(fired) != 2 || fired[0] != 15 || fired[1] != 15 {
+			t.Fatalf("fired at %v, want [15 15]", fired)
+		}
+		return k.Now(), k.EventsRun(), k.Pending()
+	}
+	nt, nr, np := check(newKernel{sim.NewEngine(1)})
+	rt, rr, rp := check(refKernel{heapref.NewEngine()})
+	if nt != rt || nr != rr || np != rp {
+		t.Fatalf("kernels disagree: new=(%v %d %d) ref=(%v %d %d)", nt, nr, np, rt, rr, rp)
 	}
 }

@@ -10,11 +10,17 @@
 //
 // The hot path is allocation-free in steady state: events live in an
 // index-addressed arena recycled through a free list (generation-counted
-// EventIDs detect staleness), the priority queue is a flat 4-ary min-heap
-// of plain structs rather than an interface-boxed container/heap, Cancel
-// is O(1) lazy deletion (dead entries are skipped at pop time), and the
+// EventIDs detect staleness), Cancel is O(1) lazy deletion (dead entries
+// are skipped when they reach the front of the queue), and the
 // AtCall/AfterCall variants let callers schedule a static function plus an
-// argument without boxing a fresh closure per event. See docs/perf.md.
+// argument without boxing a fresh closure per event.
+//
+// The queue is a set of delay lanes in front of a flat 4-ary min-heap of
+// plain structs. Events scheduled with the same delay arrive in (at, seq)
+// order, so each lane is a FIFO ring that is already sorted and only its
+// head sits in the heap; an event whose lane slot is bound to another
+// delay goes into the heap directly. The heap minimum is therefore the
+// global minimum. See docs/perf.md.
 package sim
 
 import (
@@ -88,9 +94,13 @@ type eventSlot struct {
 
 // heapEntry is one priority-queue element. The ordering key (at, seq) is
 // embedded so sift operations never chase into the arena; slot+gen locate
-// the callback and detect lazily-cancelled entries at pop time. Keeping
-// the entry at 24 bytes with a two-key comparison keeps push small enough
-// to inline; layout_test.go pins the size.
+// the callback and detect lazily-cancelled entries when they reach the
+// root. The low
+// laneBits bits of seq hold the entry's lane tag (lane index + 1, or 0 for
+// an entry with no lane); the insertion sequence number sits above them,
+// so the tag never changes the order. Keeping the entry at 24 bytes with a
+// two-key comparison keeps push small enough to inline; layout_test.go
+// pins the size.
 type heapEntry struct {
 	at   Time
 	seq  uint64
@@ -105,6 +115,50 @@ func heLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// Delay lanes. numLanes must not exceed 1<<laneBits - 1, since tag 0
+// means "no lane".
+const (
+	laneBits = 8
+	laneMask = 1<<laneBits - 1
+	numLanes = 64
+)
+
+// laneOf hashes a delay to its lane slot: Fibonacci hashing, keeping the
+// top log2(numLanes) = 6 bits of the product.
+func laneOf(d Time) int {
+	return int(uint64(d) * 0x9E3779B97F4A7C15 >> 58)
+}
+
+// lane queues the events of one delay behind the lane head, which sits in
+// the heap. ring[head : head+n] (mod len(ring)) holds the followers in
+// (at, seq) order; len(ring) is zero or a power of two. A lane is bound
+// to delay while busy and is rebound by the first event that finds it
+// idle.
+type lane struct {
+	delay   Time
+	busy    bool
+	head, n int
+	ring    []heapEntry
+}
+
+// put appends a follower.
+func (l *lane) put(he heapEntry) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = he
+	l.n++
+}
+
+// grow doubles the ring, unwrapping the followers to its start.
+func (l *lane) grow() {
+	ring := make([]heapEntry, max(2*len(l.ring), 16))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
+}
+
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create one with NewEngine. An Engine is not safe for concurrent
 // use: the simulated world is single-threaded by design (parallel hardware
@@ -114,6 +168,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	heap    []heapEntry
+	lanes   [numLanes]lane
 	arena   []eventSlot
 	free    []int32
 	live    int // scheduled, not yet fired or cancelled
@@ -195,9 +250,21 @@ func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) EventID {
 	idx := e.alloc()
 	s := &e.arena[idx]
 	s.fn, s.afn, s.arg = fn, afn, arg
-	e.push(heapEntry{at: at, seq: e.seq, slot: idx, gen: s.gen})
+	he := heapEntry{at: at, seq: e.seq << laneBits, slot: idx, gen: s.gen}
 	e.seq++
 	e.live++
+	d := at - e.now
+	li := laneOf(d)
+	if l := &e.lanes[li]; l.busy && l.delay == d {
+		he.seq |= uint64(li + 1)
+		l.put(he)
+	} else {
+		if !l.busy {
+			l.busy, l.delay = true, d
+			he.seq |= uint64(li + 1)
+		}
+		e.push(he)
+	}
 	return EventID{idx: idx, gen: s.gen}
 }
 
@@ -264,39 +331,58 @@ func (e *Engine) push(he heapEntry) {
 	e.heap = q
 }
 
-// pop removes and returns the heap minimum. The caller guarantees the
-// heap is non-empty.
-func (e *Engine) pop() heapEntry {
+// siftDown places he at the root of the non-empty heap and restores the
+// heap order below it.
+func (e *Engine) siftDown(he heapEntry) {
 	q := e.heap
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	e.heap = q[:n]
-	if n > 0 {
-		q = q[:n]
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if heLess(q[j], q[m]) {
-					m = j
-				}
-			}
-			if !heLess(q[m], last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
+	n := len(q)
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
 		}
-		q[i] = last
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if heLess(q[j], q[m]) {
+				m = j
+			}
+		}
+		if !heLess(q[m], he) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = he
+}
+
+// next removes and returns the heap minimum, which the caller guarantees
+// exists. When it is a lane head with a follower, the follower takes the
+// root's place with one sift-down; otherwise the lane goes idle and the
+// heap's last entry takes it.
+func (e *Engine) next() heapEntry {
+	top := e.heap[0]
+	if t := top.seq & laneMask; t != 0 {
+		l := &e.lanes[t-1]
+		if l.n > 0 {
+			he := l.ring[l.head]
+			l.head = (l.head + 1) & (len(l.ring) - 1)
+			l.n--
+			e.siftDown(he)
+			return top
+		}
+		l.busy = false
+	}
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(last)
 	}
 	return top
 }
@@ -305,13 +391,13 @@ func (e *Engine) pop() heapEntry {
 // e.heap[0], when present, is always a live event.
 func (e *Engine) prune() {
 	for len(e.heap) > 0 && e.arena[e.heap[0].slot].gen != e.heap[0].gen {
-		e.pop()
+		e.next()
 	}
 }
 
-// fire pops and runs the heap head, which the caller has verified live.
+// fire removes and runs the heap head, which the caller has verified live.
 func (e *Engine) fire() {
-	he := e.pop()
+	he := e.next()
 	s := &e.arena[he.slot]
 	fn, afn, arg := s.fn, s.afn, s.arg
 	e.freeSlot(he.slot)
