@@ -8,8 +8,10 @@
 // It implements ranks bound to Workers, tagged point-to-point messaging
 // with wildcard receive, tree-structured collectives (barrier, broadcast,
 // reduce, allreduce, alltoall) whose traffic travels on the simulated
-// interconnect, and MPI-3-style Cartesian topology helpers used by the
-// stencil workloads.
+// interconnect, and MPI-3-style Cartesian and graph topology helpers. The
+// ablation A3 runs Allreduce, and core.Machine exposes a world
+// communicator as Machine.Comm; nothing else in the simulator uses the
+// package.
 package mpi
 
 import (

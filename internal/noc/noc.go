@@ -270,14 +270,13 @@ func (n *Network) Latency(src, dst, size int) sim.Time {
 }
 
 // sendOp is a pooled in-flight message: the hop index walks path as each
-// link grant expires. done or (dfn, darg) is the delivery notification.
+// link grant expires. fn(arg) is the delivery notification.
 type sendOp struct {
 	n    *Network
 	path []pathHop
 	i    int
-	done func()
-	dfn  func(any)
-	darg any
+	fn   func(any)
+	arg  any
 	next *sendOp
 }
 
@@ -311,41 +310,34 @@ func sendStep(a any) {
 
 func sendDeliver(a any) {
 	op := a.(*sendOp)
-	done, dfn, darg := op.done, op.dfn, op.darg
+	fn, arg := op.fn, op.arg
 	op.n.putSendOp(op)
-	if dfn != nil {
-		dfn(darg)
-	} else if done != nil {
-		done()
+	if fn != nil {
+		fn(arg)
 	}
 }
 
 // Send delivers a one-way message of size bytes from src to dst, calling
-// done at delivery time. Contention on shared links delays delivery. A
-// self-send completes immediately in the current event.
+// done, which may be nil, at delivery time; see SendCall.
 func (n *Network) Send(src, dst, size int, kind Kind, done func()) {
-	n.send(src, dst, size, kind, done, nil, nil)
+	n.SendCall(src, dst, size, kind, sim.RunFunc, done)
 }
 
-// SendCall is Send with a static-function completion: fn(arg) runs at
-// delivery time without boxing a closure at the call site.
+// SendCall delivers a one-way message of size bytes from src to dst and
+// runs fn(arg), where fn may be nil, at delivery time without boxing a
+// closure at the call site. Contention on shared links delays delivery.
+// A self-send completes immediately in the current event.
 func (n *Network) SendCall(src, dst, size int, kind Kind, fn func(any), arg any) {
-	n.send(src, dst, size, kind, nil, fn, arg)
-}
-
-func (n *Network) send(src, dst, size int, kind Kind, done func(), dfn func(any), darg any) {
 	hops := n.tree.LCALevel(src, dst)
 	n.count(kind, hops, size)
 	if src == dst {
-		if dfn != nil {
-			dfn(darg)
-		} else if done != nil {
-			done()
+		if fn != nil {
+			fn(arg)
 		}
 		return
 	}
 	op := n.getSendOp()
-	op.n, op.done, op.dfn, op.darg = n, done, dfn, darg
+	op.n, op.fn, op.arg = n, fn, arg
 	op.i = 0
 	op.path = n.pathLinksInto(op.path, src, dst, hops, size)
 	sendStep(op)

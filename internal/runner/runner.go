@@ -321,9 +321,3 @@ func appendShareColumns(tbl *trace.Table, rows []Row) {
 		}
 	}
 }
-
-// RunSeq runs the scenario sequentially with no timeout — the reference
-// execution every parallel run must reproduce byte-for-byte.
-func RunSeq(s Scenario) (*trace.Table, error) {
-	return Run(context.Background(), s, Options{Parallel: 1})
-}

@@ -231,7 +231,7 @@ func TestMultiRowCellsAndRunSeq(t *testing.T) {
 			}, nil
 		},
 	}
-	tbl, err := RunSeq(s)
+	tbl, err := Run(context.Background(), s, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

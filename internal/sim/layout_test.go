@@ -15,3 +15,17 @@ func TestHeapEntryLayout(t *testing.T) {
 		t.Fatalf("heapEntry is %d bytes, want 24", got)
 	}
 }
+
+// TestCallbackLayout pins the two cells that store a callback, the
+// event arena's eventSlot and the Resource/Signal waiter, at 32 bytes
+// each. Both hold the one callback form, fn(arg); a second, closure-only
+// field would add 8 bytes to every arena slot and every waiter-ring cell,
+// the memory each scheduled event and each parked Acquire costs.
+func TestCallbackLayout(t *testing.T) {
+	if got := unsafe.Sizeof(eventSlot{}); got != 32 {
+		t.Errorf("eventSlot is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(waiter{}); got != 32 {
+		t.Errorf("waiter is %d bytes, want 32", got)
+	}
+}

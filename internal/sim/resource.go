@@ -14,21 +14,12 @@ package sim
 // unwinds the stack without perturbing simulated time.
 const maxHandoffDepth = 64
 
-// waiter is one parked Acquire. Exactly one of fn/afn is set; afn+arg is
-// the zero-alloc path (a static function plus its argument).
+// waiter is one parked callback, fn(arg): an Acquire waiting for a token
+// or a Wait on a Signal.
 type waiter struct {
-	fn    func()
-	afn   func(any)
+	fn    func(any)
 	arg   any
 	start Time
-}
-
-func (w *waiter) call() {
-	if w.afn != nil {
-		w.afn(w.arg)
-	} else {
-		w.fn()
-	}
 }
 
 // Resource is a counting resource (e.g. a memory port, a DMA channel, an
@@ -142,22 +133,13 @@ func (r *Resource) popWaiter() waiter {
 	return w
 }
 
-// Acquire requests one token and calls then once the token is granted
-// (possibly immediately, in the same event).
-func (r *Resource) Acquire(then func()) {
-	if r.inUse < r.capacity {
-		r.tickBusy()
-		r.inUse++
-		r.acquired++
-		then()
-		return
-	}
-	r.pushWaiter(waiter{fn: then, start: r.eng.Now()})
-}
+// Acquire requests one token and calls then once the token is granted;
+// see AcquireCall.
+func (r *Resource) Acquire(then func()) { r.AcquireCall(RunFunc, then) }
 
-// AcquireCall requests one token and calls fn(arg) once it is granted.
-// With a statically allocated fn and pointer-typed arg, queueing performs
-// no heap allocation — the zero-alloc counterpart of Acquire.
+// AcquireCall requests one token and calls fn(arg) once it is granted
+// (possibly immediately, in the same event). With a statically allocated
+// fn and pointer-typed arg, queueing performs no heap allocation.
 func (r *Resource) AcquireCall(fn func(any), arg any) {
 	if r.inUse < r.capacity {
 		r.tickBusy()
@@ -166,7 +148,7 @@ func (r *Resource) AcquireCall(fn func(any), arg any) {
 		fn(arg)
 		return
 	}
-	r.pushWaiter(waiter{afn: fn, arg: arg, start: r.eng.Now()})
+	r.pushWaiter(waiter{fn: fn, arg: arg, start: r.eng.Now()})
 }
 
 // Release returns one token, handing it to the oldest waiter if any.
@@ -180,11 +162,12 @@ func (r *Resource) Release() {
 		r.acquired++
 		// The token transfers directly; inUse is unchanged.
 		if r.handoff >= maxHandoffDepth {
-			r.deferGrant(w)
+			// Unwind a deep dependency chain through the event queue.
+			r.eng.AtCall(r.eng.now, w.fn, w.arg)
 			return
 		}
 		r.handoff++
-		w.call()
+		w.fn(w.arg)
 		r.handoff--
 		return
 	}
@@ -192,25 +175,14 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// deferGrant unwinds deep dependency chains through the event queue. It is
-// a separate function so the boxed waiter copy escapes only on this rare
-// path, keeping the common Release free of heap allocation.
-func (r *Resource) deferGrant(w waiter) {
-	g := &w
-	r.eng.AtCall(r.eng.now, deferredGrant, g)
-}
-
-func deferredGrant(a any) { a.(*waiter).call() }
-
-// useOp is a pooled acquire→hold→release→notify operation backing Use and
-// UseCall. Ops are recycled through a per-engine free list so the steady
-// state allocates nothing.
+// useOp is a pooled acquire→hold→release→notify operation backing
+// UseCall; fn(arg) is the notification. Ops are recycled through a
+// per-engine free list so the steady state allocates nothing.
 type useOp struct {
 	r    *Resource
 	hold Time
-	done func()
-	dfn  func(any)
-	darg any
+	fn   func(any)
+	arg  any
 	next *useOp
 }
 
@@ -235,28 +207,24 @@ func useGranted(a any) {
 
 func useExpired(a any) {
 	op := a.(*useOp)
-	r, done, dfn, darg := op.r, op.done, op.dfn, op.darg
-	r.eng.putUseOp(op) // recycle first: Release/done may re-enter Use
+	r, fn, arg := op.r, op.fn, op.arg
+	r.eng.putUseOp(op) // recycle first: Release/fn may re-enter Use
 	r.Release()
-	if dfn != nil {
-		dfn(darg)
-	} else if done != nil {
-		done()
+	if fn != nil {
+		fn(arg)
 	}
 }
 
 // Use acquires a token, holds it for hold simulated time, releases it, and
-// then calls done. It is the common "serve one request" pattern.
-func (r *Resource) Use(hold Time, done func()) {
-	op := r.eng.getUseOp()
-	op.r, op.hold, op.done = r, hold, done
-	r.AcquireCall(useGranted, op)
-}
+// then calls done, which may be nil. It is the common "serve one request"
+// pattern; see UseCall.
+func (r *Resource) Use(hold Time, done func()) { r.UseCall(hold, RunFunc, done) }
 
-// UseCall is Use with a static-function completion; see AcquireCall.
+// UseCall is Use with a static-function completion, fn(arg), where fn
+// may be nil; see AcquireCall.
 func (r *Resource) UseCall(hold Time, fn func(any), arg any) {
 	op := r.eng.getUseOp()
-	op.r, op.hold, op.dfn, op.darg = r, hold, fn, arg
+	op.r, op.hold, op.fn, op.arg = r, hold, fn, arg
 	r.AcquireCall(useGranted, op)
 }
 
@@ -287,23 +255,17 @@ func (s *Signal) Done() bool { return s.done }
 // FiredAt returns the time the signal fired (valid only if Done).
 func (s *Signal) FiredAt() Time { return s.at }
 
-// Wait registers fn to run when the signal fires.
-func (s *Signal) Wait(fn func()) {
-	if s.done {
-		fn()
-		return
-	}
-	s.waits = append(s.waits, waiter{fn: fn})
-}
+// Wait registers fn to run when the signal fires; see WaitCall.
+func (s *Signal) Wait(fn func()) { s.WaitCall(RunFunc, fn) }
 
-// WaitCall registers fn(arg) to run when the signal fires; the zero-alloc
-// counterpart of Wait.
+// WaitCall registers fn(arg) to run when the signal fires, without boxing
+// a closure at the call site.
 func (s *Signal) WaitCall(fn func(any), arg any) {
 	if s.done {
 		fn(arg)
 		return
 	}
-	s.waits = append(s.waits, waiter{afn: fn, arg: arg})
+	s.waits = append(s.waits, waiter{fn: fn, arg: arg})
 }
 
 // Fire marks the signal done and runs the waiters in registration order.
@@ -317,8 +279,8 @@ func (s *Signal) Fire() {
 	s.at = s.eng.Now()
 	waits := s.waits
 	s.waits = nil
-	for i := range waits {
-		waits[i].call()
+	for _, w := range waits {
+		w.fn(w.arg)
 	}
 }
 
@@ -355,73 +317,14 @@ func (w *WaitGroup) DoneOne() {
 	}
 }
 
-// Wait registers fn to run when the count reaches zero.
-func (w *WaitGroup) Wait(fn func()) {
-	if w.n == 0 && !w.sig.Done() {
-		w.sig.Fire()
-	}
-	w.sig.Wait(fn)
-}
+// Wait registers fn to run when the count reaches zero; see WaitCall.
+func (w *WaitGroup) Wait(fn func()) { w.WaitCall(RunFunc, fn) }
 
-// WaitCall registers fn(arg) to run when the count reaches zero; the
-// zero-alloc counterpart of Wait.
+// WaitCall registers fn(arg) to run when the count reaches zero, without
+// boxing a closure at the call site.
 func (w *WaitGroup) WaitCall(fn func(any), arg any) {
 	if w.n == 0 && !w.sig.Done() {
 		w.sig.Fire()
 	}
 	w.sig.WaitCall(fn, arg)
-}
-
-// FIFO is an unbounded queue with blocking-style Pop: if the queue is
-// empty, the consumer callback is parked until an item arrives.
-type FIFO[T any] struct {
-	items   []T
-	poppers []func(T)
-	maxLen  int
-}
-
-// NewFIFO returns an empty queue.
-func NewFIFO[T any]() *FIFO[T] { return &FIFO[T]{} }
-
-// Len returns the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.items) }
-
-// MaxLen returns the maximum observed queue length.
-func (f *FIFO[T]) MaxLen() int { return f.maxLen }
-
-// Push enqueues an item, delivering it directly to a parked consumer when
-// one exists.
-func (f *FIFO[T]) Push(item T) {
-	if len(f.poppers) > 0 {
-		p := f.poppers[0]
-		f.poppers = f.poppers[1:]
-		p(item)
-		return
-	}
-	f.items = append(f.items, item)
-	if len(f.items) > f.maxLen {
-		f.maxLen = len(f.items)
-	}
-}
-
-// Pop delivers the oldest item to fn, parking fn if the queue is empty.
-func (f *FIFO[T]) Pop(fn func(T)) {
-	if len(f.items) > 0 {
-		item := f.items[0]
-		f.items = f.items[1:]
-		fn(item)
-		return
-	}
-	f.poppers = append(f.poppers, fn)
-}
-
-// TryPop delivers the oldest item if one exists and reports whether it did.
-func (f *FIFO[T]) TryPop(fn func(T)) bool {
-	if len(f.items) == 0 {
-		return false
-	}
-	item := f.items[0]
-	f.items = f.items[1:]
-	fn(item)
-	return true
 }

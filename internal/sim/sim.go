@@ -11,9 +11,10 @@
 // The hot path is allocation-free in steady state: events live in an
 // index-addressed arena recycled through a free list (generation-counted
 // EventIDs detect staleness), Cancel is O(1) lazy deletion (dead entries
-// are skipped when they reach the front of the queue), and the
-// AtCall/AfterCall variants let callers schedule a static function plus an
-// argument without boxing a fresh closure per event.
+// are skipped when they reach the front of the queue), and every callback
+// is stored in one form, a static function plus an argument, so callers of
+// AtCall/AfterCall schedule without boxing a fresh closure per event. At
+// and After are adapters that store their closure as RunFunc's argument.
 //
 // The queue is a set of delay lanes in front of a flat 4-ary min-heap of
 // plain structs. Events scheduled with the same delay arrive in (at, seq)
@@ -81,15 +82,23 @@ type EventID struct {
 	gen uint32
 }
 
-// eventSlot is one arena cell holding a scheduled event's callback. The
-// common zero-alloc path stores a static function in afn plus its argument
-// in arg; the closure path stores fn. Exactly one of fn/afn is set while
-// the slot is live.
+// eventSlot is one arena cell holding a scheduled event's callback,
+// fn(arg).
 type eventSlot struct {
-	fn  func()
-	afn func(any)
+	fn  func(any)
 	arg any
 	gen uint32
+}
+
+// RunFunc runs a, a func() that may be nil. It is the static callback
+// through which the closure entry points (At, After, Acquire, Use,
+// Signal.Wait, WaitGroup.Wait and noc.Send) store their closure as the
+// argument of the one callback form: a func value converts to any
+// without allocating.
+func RunFunc(a any) {
+	if f := a.(func()); f != nil {
+		f()
+	}
 }
 
 // heapEntry is one priority-queue element. The ordering key (at, seq) is
@@ -238,18 +247,30 @@ func (e *Engine) alloc() int32 {
 // EventID and heap entry pointing at the slot.
 func (e *Engine) freeSlot(idx int32) {
 	s := &e.arena[idx]
-	s.fn, s.afn, s.arg = nil, nil, nil
+	s.fn, s.arg = nil, nil
 	s.gen++
 	e.free = append(e.free, idx)
 }
 
-func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) EventID {
+// At schedules fn to run at absolute time at; see AtCall.
+func (e *Engine) At(at Time, fn func()) EventID { return e.AtCall(at, RunFunc, fn) }
+
+// After schedules fn to run d after the current time; see AfterCall.
+func (e *Engine) After(d Time, fn func()) EventID { return e.AfterCall(d, RunFunc, fn) }
+
+// AtCall schedules fn(arg) at absolute time at. Scheduling in the past
+// (before Now) panics: it would corrupt causality silently otherwise.
+// With a statically allocated fn and a pointer-typed arg this path
+// performs no heap allocation, unlike At, whose closure argument is
+// typically boxed at the call site. It is the kernel's zero-alloc
+// scheduling primitive.
+func (e *Engine) AtCall(at Time, fn func(any), arg any) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	idx := e.alloc()
 	s := &e.arena[idx]
-	s.fn, s.afn, s.arg = fn, afn, arg
+	s.fn, s.arg = fn, arg
 	he := heapEntry{at: at, seq: e.seq << laneBits, slot: idx, gen: s.gen}
 	e.seq++
 	e.live++
@@ -268,34 +289,12 @@ func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) EventID {
 	return EventID{idx: idx, gen: s.gen}
 }
 
-// At schedules fn to run at absolute time at. Scheduling in the past
-// (before Now) panics: it would corrupt causality silently otherwise.
-func (e *Engine) At(at Time, fn func()) EventID {
-	return e.schedule(at, fn, nil, nil)
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return e.schedule(e.now+d, fn, nil, nil)
-}
-
-// AtCall schedules fn(arg) at absolute time at. With a statically
-// allocated fn and a pointer-typed arg this path performs no heap
-// allocation, unlike At, whose closure argument is typically boxed at the
-// call site. It is the kernel's zero-alloc scheduling primitive.
-func (e *Engine) AtCall(at Time, fn func(any), arg any) EventID {
-	return e.schedule(at, nil, fn, arg)
-}
-
 // AfterCall schedules fn(arg) to run d after the current time; see AtCall.
 func (e *Engine) AfterCall(d Time, fn func(any), arg any) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return e.schedule(e.now+d, nil, fn, arg)
+	return e.AtCall(e.now+d, fn, arg)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
@@ -399,7 +398,7 @@ func (e *Engine) prune() {
 func (e *Engine) fire() {
 	he := e.next()
 	s := &e.arena[he.slot]
-	fn, afn, arg := s.fn, s.afn, s.arg
+	fn, arg := s.fn, s.arg
 	e.freeSlot(he.slot)
 	e.live--
 	if he.at < e.now {
@@ -410,11 +409,7 @@ func (e *Engine) fire() {
 	if he.at >= e.sampleAt {
 		e.sampleAt = e.sampler(he.at)
 	}
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 }
 
 // Step fires the single earliest pending event. It reports false when no

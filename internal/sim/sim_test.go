@@ -386,60 +386,6 @@ func TestWaitGroupOverCompletePanics(t *testing.T) {
 	wg.DoneOne()
 }
 
-func TestFIFO(t *testing.T) {
-	f := NewFIFO[int]()
-	var got []int
-	f.Push(1)
-	f.Push(2)
-	f.Pop(func(v int) { got = append(got, v) })
-	f.Pop(func(v int) { got = append(got, v) })
-	f.Pop(func(v int) { got = append(got, v) }) // parks
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2] so far", got)
-	}
-	f.Push(3)
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("parked popper not served: %v", got)
-	}
-	if f.MaxLen() != 2 {
-		t.Errorf("MaxLen = %d, want 2", f.MaxLen())
-	}
-	if f.TryPop(func(int) {}) {
-		t.Error("TryPop on empty returned true")
-	}
-	f.Push(4)
-	popped := false
-	if !f.TryPop(func(v int) { popped = v == 4 }) || !popped {
-		t.Error("TryPop failed to deliver 4")
-	}
-}
-
-// Property: FIFO preserves order for any push/pop interleaving.
-func TestFIFOOrderProperty(t *testing.T) {
-	prop := func(vals []int) bool {
-		f := NewFIFO[int]()
-		var got []int
-		for _, v := range vals {
-			f.Push(v)
-		}
-		for range vals {
-			f.Pop(func(v int) { got = append(got, v) })
-		}
-		if len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(123), NewRNG(123)
 	for i := 0; i < 1000; i++ {

@@ -71,15 +71,6 @@ type workerMem struct {
 	cache  *mem.Cache
 	dram   *mem.DRAM
 	atomic *sim.Resource
-	mbox   *sim.FIFO[Message]
-}
-
-// Message is a small interprocessor message delivered to a Worker's
-// mailbox, modelling the progressive-address-translation load/store
-// communication path the paper cites [12].
-type Message struct {
-	From    int
-	Payload uint64
 }
 
 // Space is one UNIMEM global address space (one PGAS domain in ECOSCALE
@@ -114,7 +105,7 @@ func (c Config) Validate() error {
 }
 
 // NewSpace creates a space over the network's workers. Per-worker
-// memory-side state (cache, DRAM channel, atomic unit, mailbox) is a
+// memory-side state (cache, DRAM channel, atomic unit) is a
 // flyweight: the slice holds nil until the first access touching that
 // worker materializes it, so a 100k-worker space costs one pointer per
 // idle worker.
@@ -139,7 +130,6 @@ func (s *Space) wm(w int) *workerMem {
 			cache:  mem.NewCache(s.cfg.CacheCfg),
 			dram:   mem.NewDRAM(eng, s.cfg.DRAMCfg),
 			atomic: sim.NewResource(eng, fmt.Sprintf("atomic-%d", w), 1),
-			mbox:   sim.NewFIFO[Message](),
 		}
 		s.workers[w] = m
 	}
@@ -176,7 +166,6 @@ const (
 	ctrWritebacks
 	ctrCacherMoves
 	ctrAtomics
-	ctrNotifies
 	ctrMigrations
 	ctrEvacuations
 	ctrStreamBytes
@@ -192,7 +181,6 @@ var counterNames = [numCounters]string{
 	ctrWritebacks:    "unimem.writebacks",
 	ctrCacherMoves:   "unimem.cacher_moves",
 	ctrAtomics:       "unimem.atomics",
-	ctrNotifies:      "unimem.notifies",
 	ctrMigrations:    "unimem.migrations",
 	ctrEvacuations:   "unimem.evacuations",
 	ctrStreamBytes:   "unimem.stream_bytes",
@@ -627,23 +615,6 @@ func atomicDone(a any) {
 		done(old)
 	}
 }
-
-// Notify sends a small interprocessor message to dst's mailbox (the
-// "messages to synchronize remote threads" of §4.1), raising the
-// mailbox as an interrupt-class transaction.
-func (s *Space) Notify(src, dst int, payload uint64, done func()) {
-	s.count(ctrNotifies)
-	s.net.Send(src, dst, s.cfg.CtrlBytes, noc.Interrupt, func() {
-		s.wm(dst).mbox.Push(Message{From: src, Payload: payload})
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// Mailbox returns worker w's message queue; consumers use Pop to park
-// until a message arrives.
-func (s *Space) Mailbox(w int) *sim.FIFO[Message] { return s.wm(w).mbox }
 
 // MigratePage moves the page containing addr to a new owner: the old
 // cacher is flushed, the page bytes stream over as a DMA transfer, and

@@ -222,17 +222,6 @@ func TestAtomicReturnsOld(t *testing.T) {
 	}
 }
 
-func TestNotifyMailbox(t *testing.T) {
-	eng, s, _ := newSpace(t, 4)
-	var got Message
-	s.Mailbox(3).Pop(func(m Message) { got = m })
-	s.Notify(1, 3, 0xabc, nil)
-	eng.RunUntilIdle()
-	if got.From != 1 || got.Payload != 0xabc {
-		t.Errorf("mailbox got %+v", got)
-	}
-}
-
 func TestMigratePage(t *testing.T) {
 	eng, s, _ := newSpace(t, 4)
 	addr := s.Alloc(0, 64)
