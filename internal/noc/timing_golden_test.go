@@ -68,15 +68,18 @@ func goldenTraffic(eng *sim.Engine, net *Network, workers int, seed int64) []str
 	return lines
 }
 
-// goldenNetwork runs the traffic on a fresh network over t with a meter
-// and a registry and renders every observable: each operation's timing,
-// the events fired, the noc.* counters and hop-distance stat, every
-// LinkStats row, and the meter's breakdown and total as float64 bits.
-func goldenNetwork(t *topo.Tree, seed int64, flap func(*sim.Engine, *Network)) []string {
+// goldenNetwork runs the traffic on a fresh network over t, whose links
+// each serialize capacity messages at once, with a meter and a registry
+// and renders every observable: each operation's timing, the events
+// fired, the noc.* counters and hop-distance stat, every LinkStats row,
+// and the meter's breakdown and total as float64 bits.
+func goldenNetwork(t *topo.Tree, seed int64, capacity int, flap func(*sim.Engine, *Network)) []string {
 	eng := sim.NewEngine(1)
 	reg := trace.NewRegistry()
 	m := energy.NewMeter(eng, energy.DefaultCostModel())
-	net := NewNetwork(eng, t, DefaultConfig(t.MaxHops()), m, reg)
+	cfg := DefaultConfig(t.MaxHops())
+	cfg.LinkCapacity = capacity
+	net := NewNetwork(eng, t, cfg, m, reg)
 	out := goldenTraffic(eng, net, t.NumWorkers(), seed)
 	flap(eng, net)
 	eng.RunUntilIdle()
@@ -107,19 +110,23 @@ func goldenNetwork(t *topo.Tree, seed int64, flap func(*sim.Engine, *Network)) [
 // TestNoCTimingGolden pins the interconnect's simulated timing and
 // accounting against testdata/noc_timing.golden: a seeded mix of Send,
 // SendCall, RoundTrip, DMATransfer and LoadStoreTransfer on a 3-level
-// tree with one FlapLink outage. A change to the NoC's routing or
-// accounting must leave every line byte-identical; after an intended
-// change, regenerate with
+// tree with one FlapLink outage, first on single-slot links and then,
+// after a "capacity 2" line, on two-slot links, where the flap seizes
+// both slots. A change to the NoC's routing or accounting must leave
+// every line byte-identical; after an intended change, regenerate with
 //
 //	go test ./internal/noc -run TestNoCTimingGolden -update
 func TestNoCTimingGolden(t *testing.T) {
-	got := goldenNetwork(topo.NewTree(4, 2, 2), 19, func(eng *sim.Engine, net *Network) {
+	flap := func(eng *sim.Engine, net *Network) {
 		eng.At(12*sim.Microsecond, func() {
 			if !net.FlapLink(3, 1, 3*sim.Microsecond) {
 				t.Error("FlapLink(3, 1) on a 3-level tree flapped nothing")
 			}
 		})
-	})
+	}
+	got := goldenNetwork(topo.NewTree(4, 2, 2), 19, 1, flap)
+	got = append(got, "capacity 2")
+	got = append(got, goldenNetwork(topo.NewTree(4, 2, 2), 19, 2, flap)...)
 	out := strings.Join(got, "\n") + "\n"
 	if *update {
 		if err := os.WriteFile(nocGolden, []byte(out), 0o644); err != nil {
