@@ -74,11 +74,14 @@ race-soak:
 	go test -race -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke|TestParallelMatchesSequential' -count 2 ./...
 
 # Short fuzzing pass over the user-input surfaces: kernel source (the HLS
-# parser, synthesizer and interpreter), machine configs and fault plans.
-# Each target runs for a fixed time; the seed corpora alone already run
-# under `go test ./...`. Kept out of `check`, which must stay fast.
+# parser, synthesizer and interpreter), machine configs and fault plans;
+# and over the NoC's link queues against their frozen sim.Resource
+# reference. Each target runs for a fixed time; the seed corpora alone
+# already run under `go test ./...`. Kept out of `check`, which must stay
+# fast.
 fuzz:
 	go test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
 	go test ./internal/hls -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 15s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 15s
 	go test ./internal/fault -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 15s
+	go test ./internal/noc -run '^$$' -fuzz '^FuzzLinkQueue$$' -fuzztime 15s

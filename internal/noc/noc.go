@@ -12,6 +12,13 @@
 // chunk loop of DMATransfer, the line window of LoadStoreTransfer) lives
 // in per-network pooled operation structs driven by static callbacks
 // rather than fresh closures: steady-state traffic allocates nothing.
+//
+// Each direction of a tree link is a link: a count of busy transfer
+// slots and a FIFO of the messages waiting for one. A message is its own
+// waiter. It resolves each hop's link and hold time when it reaches the
+// hop, holds the link for one event, and on expiry hands the slot to the
+// oldest waiting message before it moves on, so a hop costs one event
+// and no allocation.
 package noc
 
 import (
@@ -114,7 +121,7 @@ type Network struct {
 
 	// links[level][2*group+dir], dir 0=up, 1=down: one row per tree
 	// level, sized at construction, each link created on first use.
-	links [][]*sim.Resource
+	links [][]*link
 	// acct[level] is the energy account a level's flit-hops charge:
 	// "link" for off-chip levels, "noc" otherwise. nil without a meter.
 	acct []*energy.Account
@@ -147,9 +154,9 @@ func NewNetwork(eng *sim.Engine, t *topo.Tree, cfg Config, meter *energy.Meter, 
 	// link) share one canonical level table instead of one copy each.
 	cfg.Levels = intern.CanonicalSlice(cfg.Levels)
 	n := &Network{eng: eng, tree: t, cfg: cfg, meter: meter, reg: reg}
-	n.links = make([][]*sim.Resource, t.MaxHops())
+	n.links = make([][]*link, t.MaxHops())
 	for l := range n.links {
-		n.links[l] = make([]*sim.Resource, 2*t.NumWorkers()/t.GroupSize(l))
+		n.links[l] = make([]*link, 2*t.NumWorkers()/t.GroupSize(l))
 	}
 	if meter != nil {
 		n.acct = make([]*energy.Account, len(cfg.Levels))
@@ -178,12 +185,97 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // Topology returns the tree the network spans.
 func (n *Network) Topology() *topo.Tree { return n.tree }
 
-func (n *Network) link(level, group, dir int) *sim.Resource {
+// link is one direction of a tree link: capacity transfer slots, inUse
+// of them held, and a FIFO of the messages waiting for one, threaded
+// through sendOp.next. Its stats are the ones LinkStats reports, kept as
+// sim.Resource keeps them.
+type link struct {
+	capacity, inUse int
+	head, tail      *sendOp
+	queued          int
+
+	// busyInt accumulates inUse·Δt up to lastBusyAt; it is folded before
+	// every inUse change.
+	busyInt, lastBusyAt sim.Time
+	waited              sim.Time
+	grants              uint64
+	maxQueue            int
+}
+
+func (l *link) tickBusy(now sim.Time) {
+	if now > l.lastBusyAt {
+		l.busyInt += sim.Time(l.inUse) * (now - l.lastBusyAt)
+		l.lastBusyAt = now
+	}
+}
+
+// utilization is the fraction of [0, now] the link's slots were held.
+func (l *link) utilization(now sim.Time) float64 {
+	if now <= 0 {
+		return 0
+	}
+	b := l.busyInt
+	if now > l.lastBusyAt {
+		b += sim.Time(l.inUse) * (now - l.lastBusyAt)
+	}
+	return float64(b) / (float64(now) * float64(l.capacity))
+}
+
+func (n *Network) link(level, group, dir int) *link {
 	slot := &n.links[level][2*group+dir]
 	if *slot == nil {
-		*slot = sim.NewResource(n.eng, fmt.Sprintf("link-l%d-g%d-d%d", level, group, dir), n.cfg.LinkCapacity)
+		*slot = &link{capacity: n.cfg.LinkCapacity}
 	}
 	return *slot
+}
+
+// acquire gives op a slot of l and holds it for op.hold, or queues op
+// behind the messages already waiting for l.
+func (n *Network) acquire(l *link, op *sendOp) {
+	op.link = l
+	now := n.eng.Now()
+	if l.inUse < l.capacity {
+		l.tickBusy(now)
+		l.inUse++
+		l.grants++
+		n.eng.AfterCall(op.hold, hopDone, op)
+		return
+	}
+	op.start = now
+	if l.tail == nil {
+		l.head = op
+	} else {
+		l.tail.next = op
+	}
+	l.tail = op
+	l.queued++
+	if l.queued > l.maxQueue {
+		l.maxQueue = l.queued
+	}
+}
+
+// hopDone ends op's hold of its link. The slot passes straight to the
+// oldest waiting message, which starts its own hold now; op then moves
+// on to its next hop.
+func hopDone(a any) {
+	op := a.(*sendOp)
+	n, l := op.n, op.link
+	now := n.eng.Now()
+	if w := l.head; w != nil {
+		l.head = w.next
+		if l.head == nil {
+			l.tail = nil
+		}
+		w.next = nil
+		l.queued--
+		l.waited += now - w.start
+		l.grants++
+		n.eng.AfterCall(w.hold, hopDone, w)
+	} else {
+		l.tickBusy(now)
+		l.inUse--
+	}
+	sendStep(op)
 }
 
 // LinkStat is one link's identity and time-weighted load, for the
@@ -204,46 +296,24 @@ type LinkStat struct {
 
 // LinkStats returns every link instantiated so far with its utilization
 // over [0, now], in (level, group, dir) order for deterministic output.
-// Links never traversed are absent: they were never created.
+// A link is created when the first message or flap reaches it, so links
+// never reached are absent. Names are formatted here, not kept.
 func (n *Network) LinkStats(now sim.Time) []LinkStat {
 	var out []LinkStat
 	for level, row := range n.links {
-		for i, r := range row {
-			if r == nil {
+		for i, l := range row {
+			if l == nil {
 				continue
 			}
 			out = append(out, LinkStat{
-				Level: level, Group: i / 2, Dir: i % 2, Name: r.Name(),
-				Utilization: r.Utilization(now), Waited: r.TotalWait(),
-				Grants: r.Acquisitions(), MaxQueue: r.MaxQueue(),
+				Level: level, Group: i / 2, Dir: i % 2,
+				Name:        fmt.Sprintf("link-l%d-g%d-d%d", level, i/2, i%2),
+				Utilization: l.utilization(now), Waited: l.waited,
+				Grants: l.grants, MaxQueue: l.maxQueue,
 			})
 		}
 	}
 	return out
-}
-
-// pathLinksInto returns the ordered hops of a size-byte src→dst message,
-// in buf's backing array: up from src through the first hops
-// levels, then down to dst. hops is the tree's LCA level of src and dst.
-// Each hop holds its link for the level's router latency plus the
-// message's serialization, computed once per level.
-func (n *Network) pathLinksInto(buf []pathHop, src, dst, hops, size int) []pathHop {
-	buf = buf[:0]
-	for l := 0; l < hops; l++ {
-		hold := n.cfg.Levels[l].HopLatency + n.serialization(l, size)
-		buf = append(buf, pathHop{link: n.link(l, src/n.tree.GroupSize(l), 0), hold: hold})
-	}
-	for l := hops - 1; l >= 0; l-- {
-		buf = append(buf, pathHop{link: n.link(l, dst/n.tree.GroupSize(l), 1), hold: buf[l].hold})
-	}
-	return buf
-}
-
-// pathHop is one link of a message's path and how long the message
-// holds it.
-type pathHop struct {
-	link *sim.Resource
-	hold sim.Time
 }
 
 // serialization returns the time to push size bytes through a level link.
@@ -269,15 +339,19 @@ func (n *Network) Latency(src, dst, size int) sim.Time {
 	return total
 }
 
-// sendOp is a pooled in-flight message: the hop index walks path as each
-// link grant expires. fn(arg) is the delivery notification.
+// sendOp is a pooled in-flight message and its own link waiter. Hop i
+// of hops climbs level i from src for i < hops/2 and descends level
+// hops-1-i to dst after that. fn(arg) is the delivery notification.
 type sendOp struct {
-	n    *Network
-	path []pathHop
-	i    int
-	fn   func(any)
-	arg  any
-	next *sendOp
+	n              *Network
+	src, dst, size int
+	i, hops        int
+	link           *link    // the link held or waited for
+	hold           sim.Time // how long the message holds link
+	start          sim.Time // when its wait for link began
+	fn             func(any)
+	arg            any
+	next           *sendOp // free list, or link's wait queue
 }
 
 func (n *Network) getSendOp() *sendOp {
@@ -289,32 +363,27 @@ func (n *Network) getSendOp() *sendOp {
 	return &sendOp{}
 }
 
-func (n *Network) putSendOp(op *sendOp) {
-	path := op.path[:0] // keep the backing array for the next message
-	*op = sendOp{path: path, next: n.sendFree}
-	n.sendFree = op
-}
-
 // sendStep issues the message on its next link, or delivers it when the
-// path is exhausted.
-func sendStep(a any) {
-	op := a.(*sendOp)
-	if op.i == len(op.path) {
-		sendDeliver(a)
+// path is exhausted. Each hop holds its link for the level's router
+// latency plus the message's serialization.
+func sendStep(op *sendOp) {
+	n := op.n
+	if op.i == op.hops {
+		fn, arg := op.fn, op.arg
+		*op = sendOp{next: n.sendFree}
+		n.sendFree = op
+		if fn != nil {
+			fn(arg)
+		}
 		return
 	}
-	h := op.path[op.i]
-	op.i++
-	h.link.UseCall(h.hold, sendStep, op)
-}
-
-func sendDeliver(a any) {
-	op := a.(*sendOp)
-	fn, arg := op.fn, op.arg
-	op.n.putSendOp(op)
-	if fn != nil {
-		fn(arg)
+	level, w, dir := op.i, op.src, 0
+	if op.i >= op.hops/2 {
+		level, w, dir = op.hops-1-op.i, op.dst, 1
 	}
+	op.i++
+	op.hold = n.cfg.Levels[level].HopLatency + n.serialization(level, op.size)
+	n.acquire(n.link(level, w/n.tree.GroupSize(level), dir), op)
 }
 
 // Send delivers a one-way message of size bytes from src to dst, calling
@@ -337,9 +406,8 @@ func (n *Network) SendCall(src, dst, size int, kind Kind, fn func(any), arg any)
 		return
 	}
 	op := n.getSendOp()
-	op.n, op.fn, op.arg = n, fn, arg
-	op.i = 0
-	op.path = n.pathLinksInto(op.path, src, dst, hops, size)
+	op.n, op.src, op.dst, op.size, op.hops = n, src, dst, size, 2*hops
+	op.fn, op.arg = fn, arg
 	sendStep(op)
 }
 
@@ -349,16 +417,19 @@ func (n *Network) SendCall(src, dst, size int, kind Kind, fn func(any), arg any)
 // the outage in deterministic FIFO order — a transient link failure, not
 // a drop (UNIMEM transactions are never lost, only delayed). It reports
 // whether a link was flapped (false for an out-of-range level or a
-// non-positive outage).
+// non-positive outage). Each slot is seized by a one-hop message that
+// holds it for down and delivers nothing.
 func (n *Network) FlapLink(w, level int, down sim.Time) bool {
 	if level < 0 || level >= n.tree.MaxHops() || down <= 0 {
 		return false
 	}
 	group := n.tree.GroupOf(level, w)
 	for dir := 0; dir < 2; dir++ {
-		r := n.link(level, group, dir)
-		for i := 0; i < r.Capacity(); i++ {
-			r.Use(down, nil)
+		l := n.link(level, group, dir)
+		for i := 0; i < l.capacity; i++ {
+			op := n.getSendOp()
+			op.n, op.i, op.hops, op.hold = n, 1, 1, down
+			n.acquire(l, op)
 		}
 	}
 	return true

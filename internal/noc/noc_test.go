@@ -310,3 +310,36 @@ func TestSendZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestSendZeroAllocContended extends the zero-alloc contract to queued
+// messages: a warmed burst of sends that queue on one link, behind a
+// FlapLink outage of the next level's link, allocates nothing.
+func TestSendZeroAllocContended(t *testing.T) {
+	eng, n, _, _ := newNet(t, 4, 2, 2)
+	delivered := 0
+	count := func(a any) { *a.(*int)++ }
+	const burst = 6
+	send := func() {
+		n.FlapLink(0, 1, sim.Microsecond)
+		for i := 0; i < burst; i++ {
+			n.SendCall(0, 8+i%4, 64*(i+1), Store, count, &delivered)
+		}
+		eng.RunUntilIdle()
+	}
+	send() // create the links and grow the op pool
+	before := delivered
+	if a := testing.AllocsPerRun(100, send); a != 0 {
+		t.Errorf("contended burst: %v allocations per warmed burst, want 0", a)
+	}
+	if delivered-before != burst*101 {
+		t.Errorf("contended burst: %d deliveries, want %d", delivered-before, burst*101)
+	}
+	for _, ls := range n.LinkStats(eng.Now()) {
+		if ls.Level == 0 && ls.Group == 0 && ls.Dir == 0 && ls.MaxQueue != burst-1 {
+			t.Errorf("worker 0's uplink queued at most %d messages, want %d", ls.MaxQueue, burst-1)
+		}
+		if ls.Level == 1 && ls.Group == 0 && ls.Dir == 0 && ls.MaxQueue != burst {
+			t.Errorf("the flapped level-1 uplink queued at most %d messages, want %d", ls.MaxQueue, burst)
+		}
+	}
+}
