@@ -220,11 +220,7 @@ func main() {
 		if err := writeFile(*traceOut, m.Tracer.WriteChrome); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %d trace spans to %s", m.Tracer.Len(), *traceOut)
-		if d := m.Tracer.Dropped(); d > 0 {
-			fmt.Printf(" (%d dropped at cap)", d)
-		}
-		fmt.Println()
+		fmt.Printf("wrote %d trace spans to %s\n", m.Tracer.Len(), *traceOut)
 	}
 	if *metricsOut != "" {
 		if err := writeFile(*metricsOut, m.Metrics().WritePrometheus); err != nil {

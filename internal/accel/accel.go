@@ -265,8 +265,10 @@ func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
 	// Worker (free when local).
 	issued := m.eng.Now()
 	m.Space.Network().Send(caller, in.Worker, 16, noc.Store, func() {
-		m.Flow.Add(int64(m.eng.Now()), "middleware", "doorbell for %s at worker %d (from w%d)",
-			in.Placement.Module.Name, in.Worker, caller)
+		if m.Flow != nil {
+			m.Flow.Add(int64(m.eng.Now()), "middleware", "doorbell for %s at worker %d (from w%d)",
+				in.Placement.Module.Name, in.Worker, caller)
+		}
 		// SMMU translation for the call's first VA (per-call page pin);
 		// subsequent line accesses hit the TLB and are folded into the
 		// stream model.
@@ -275,12 +277,16 @@ func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
 				Start: int64(issued), End: int64(m.eng.Now()),
 				PID: trace.WorkerPID(in.Worker), TID: trace.TIDFabric, Arg: int64(caller)})
 			if terr != nil {
-				m.Flow.Add(int64(m.eng.Now()), "middleware", "SMMU fault: %v", terr)
+				if m.Flow != nil {
+					m.Flow.Add(int64(m.eng.Now()), "middleware", "SMMU fault: %v", terr)
+				}
 				finish(terr)
 				return
 			}
-			m.Flow.Add(int64(m.eng.Now()), "middleware", "SMMU translated %d span(s) for stream %d",
-				len(spec.Reads)+len(spec.Writes), in.StreamID)
+			if m.Flow != nil {
+				m.Flow.Add(int64(m.eng.Now()), "middleware", "SMMU translated %d span(s) for stream %d",
+					len(spec.Reads)+len(spec.Writes), in.StreamID)
+			}
 			in.execute(spec, finish)
 		})
 	})
@@ -370,8 +376,10 @@ func (in *Instance) execute(spec CallSpec, finish func(error)) {
 func execCompute(a any) {
 	op := a.(*execOp)
 	in, m := op.in, op.in.mgr
-	m.Flow.Add(int64(m.eng.Now()), "hardware", "%s@w%d: arguments streamed in, entering pipeline (II=%d)",
-		in.Placement.Module.Name, in.Worker, in.Impl.II())
+	if m.Flow != nil {
+		m.Flow.Add(int64(m.eng.Now()), "hardware", "%s@w%d: arguments streamed in, entering pipeline (II=%d)",
+			in.Placement.Module.Name, in.Worker, in.Impl.II())
+	}
 	op.cstart = m.eng.Now()
 	in.pipe.UseCall(op.hold, execDrain, op)
 }
@@ -387,8 +395,10 @@ func execDrain(a any) {
 func execWriteback(a any) {
 	op := a.(*execOp)
 	in, m, spec := op.in, op.in.mgr, op.spec
-	m.Flow.Add(int64(m.eng.Now()), "hardware", "%s@w%d: pipeline drained, streaming results",
-		in.Placement.Module.Name, in.Worker)
+	if m.Flow != nil {
+		m.Flow.Add(int64(m.eng.Now()), "hardware", "%s@w%d: pipeline drained, streaming results",
+			in.Placement.Module.Name, in.Worker)
+	}
 	m.Trace.Add(trace.Span{Name: in.Placement.Module.Name, Cat: trace.CatCompute,
 		Start: int64(op.cstart), End: int64(m.eng.Now()),
 		PID: trace.WorkerPID(in.Worker), TID: trace.TIDFabric, Detail: "hw"})

@@ -25,7 +25,6 @@ import (
 	"ecoscale/internal/energy"
 	"ecoscale/internal/fabric"
 	"ecoscale/internal/hls"
-	"ecoscale/internal/mpi"
 	"ecoscale/internal/noc"
 	"ecoscale/internal/profile"
 	"ecoscale/internal/rts"
@@ -43,9 +42,10 @@ import (
 // misplaced digit in a fan-out before they exhaust memory.
 const MaxWorkers = 1 << 24
 
-// MaxMappedBytes bounds the identity-mapped window: the Workers' SMMUs
-// share one table entry per page of it.
-const MaxMappedBytes = 256 << 20
+// mappedBytes is how much of the address space each accelerator stream
+// is identity-mapped for (the user-level access window); the Workers'
+// SMMUs share one table entry per page of it.
+const mappedBytes = 16 << 20
 
 // Config describes a machine to build. The zero value is not valid; use
 // DefaultConfig and override.
@@ -71,17 +71,11 @@ type Config struct {
 	Virtualize bool
 	// CompressedBitstreams enables RLE-compressed reconfiguration.
 	CompressedBitstreams bool
-	// MappedBytes is how much of the address space each accelerator
-	// stream is identity-mapped for (user-level access window).
-	MappedBytes int
 	// FlowTrace enables the Fig. 5 layer-interaction log (Machine.Flow).
 	FlowTrace bool
 	// Trace enables the span tracer (Machine.Tracer): task-lifecycle
 	// spans across every layer, exportable as Chrome trace-event JSON.
 	Trace bool
-	// TraceCap bounds retained spans (0 = unbounded); spans past the
-	// cap are counted, not stored.
-	TraceCap int
 	// Profile enables the simulation profiler (Machine.Prof): the
 	// sim-clock sampling profiler during the run, and critical-path /
 	// utilization analyses afterward. Implies Trace, since the analyses
@@ -95,16 +89,15 @@ type Config struct {
 // of computeNodes Compute Nodes.
 func DefaultConfig(workersPerCN, computeNodes int) Config {
 	return Config{
-		Seed:        1,
-		FanOut:      []int{workersPerCN, computeNodes},
-		Cost:        energy.DefaultCostModel(),
-		Unimem:      unimem.DefaultConfig(),
-		Fabric:      fabric.DefaultConfig(),
-		SMMU:        smmu.DefaultConfig(),
-		Balance:     rts.Lazy,
-		Sharing:     unilogic.Shared,
-		Virtualize:  true,
-		MappedBytes: 16 << 20,
+		Seed:       1,
+		FanOut:     []int{workersPerCN, computeNodes},
+		Cost:       energy.DefaultCostModel(),
+		Unimem:     unimem.DefaultConfig(),
+		Fabric:     fabric.DefaultConfig(),
+		SMMU:       smmu.DefaultConfig(),
+		Balance:    rts.Lazy,
+		Sharing:    unilogic.Shared,
+		Virtualize: true,
 	}
 }
 
@@ -125,9 +118,6 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("core: FanOut %v implies more than %d workers; reduce the tree shape", cfg.FanOut, MaxWorkers)
 		}
 		workers *= f
-	}
-	if cfg.MappedBytes < 0 || cfg.MappedBytes > MaxMappedBytes {
-		return fmt.Errorf("core: MappedBytes = %d; the identity-mapped window must be 0 (16 MiB) to %d bytes", cfg.MappedBytes, MaxMappedBytes)
 	}
 	for _, err := range []error{cfg.Unimem.Validate(), cfg.Fabric.Validate(), cfg.SMMU.Validate()} {
 		if err != nil {
@@ -157,7 +147,6 @@ type Machine struct {
 	Domain  *unilogic.Domain
 	Cluster *rts.Cluster
 	Daemon  *rts.Daemon
-	Comm    *mpi.Comm
 	Flow    *trace.FlowLog
 	Tracer  *trace.Tracer
 	// Prof is the simulation profiler (nil unless Config.Profile).
@@ -183,9 +172,6 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.MappedBytes == 0 {
-		cfg.MappedBytes = 16 << 20
-	}
 	m := &Machine{Cfg: cfg}
 	m.Tree = topo.NewTree(cfg.FanOut...)
 	m.Eng = sim.NewEngine(cfg.Seed)
@@ -203,7 +189,7 @@ func New(cfg Config) *Machine {
 		m.Cfg.Trace = true
 	}
 	if cfg.Trace {
-		m.Tracer = trace.NewTracer(cfg.TraceCap)
+		m.Tracer = trace.NewTracer()
 		m.Tracer.SetProcessName(trace.PIDSystem, "control plane")
 		m.Tracer.SetThreadName(trace.PIDSystem, 0, "reconfig daemon")
 		// Declare the worker process/thread lanes in O(1); names are
@@ -233,7 +219,6 @@ func New(cfg Config) *Machine {
 	m.Daemon = rts.NewDaemonFrom(m.Domain, machineScheds{m}, m.Eng)
 	m.Daemon.Trace = m.Tracer
 	m.Daemon.Reg = m.Reg
-	m.Comm = mpi.WorldComm(m.Net)
 	if cfg.Profile {
 		m.Prof = profile.New(m.Eng, m.Tracer, m.Reg, cfg.ProfileInterval)
 		m.Prof.AddProbe("tasks.queued", trace.PIDSystem, func() float64 {
@@ -354,13 +339,13 @@ func (m *Machine) peekManager(w int) *accel.Manager {
 
 // identityTemplate lazily builds the canonical identity-mapped page
 // tables shared by every Worker's SMMU: the first 32 accelerator streams
-// get user-level access to the low MappedBytes of the global space
+// get user-level access to the low mappedBytes of the global space
 // (VA == PA) via stage-1 pages owned by ASID 1 and a stage-2 identity
 // under VMID 1.
 func (m *Machine) identityTemplate() *smmu.SMMU {
 	if m.smmuTmpl == nil {
 		tmpl := smmu.New(m.Cfg.SMMU)
-		tmpl.MapIdentity(1, 1, m.Cfg.MappedBytes/int(tmpl.PageSize()), smmu.PermRW)
+		tmpl.MapIdentity(1, 1, mappedBytes/int(tmpl.PageSize()), smmu.PermRW)
 		m.smmuTmpl = tmpl
 	}
 	return m.smmuTmpl

@@ -26,9 +26,6 @@ func TestNewMachineWiring(t *testing.T) {
 	if m.Space.NumWorkers() != 8 {
 		t.Error("space not sized to workers")
 	}
-	if m.Comm.Size() != 8 {
-		t.Error("world comm not sized to workers")
-	}
 	for w := 0; w < m.Workers(); w++ {
 		if mgr := m.Manager(w); mgr.Worker != w {
 			t.Errorf("manager %d mislabeled as %d", w, mgr.Worker)
@@ -58,7 +55,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"zero fanout level", func(c *Config) { c.FanOut = []int{4, 0} }, "FanOut[1] = 0"},
 		{"negative fanout level", func(c *Config) { c.FanOut = []int{-2, 2} }, "FanOut[0] = -2"},
 		{"absurd workers", func(c *Config) { c.FanOut = []int{1 << 12, 1 << 13} }, "more than"},
-		{"negative mapped bytes", func(c *Config) { c.MappedBytes = -1 }, "MappedBytes"},
 		{"empty fabric", func(c *Config) { c.Fabric.Rows = 0 }, "fabric grid"},
 		{"no tlb", func(c *Config) { c.SMMU.TLBEntries = 0 }, "TLB"},
 		// Each of these used to pass Validate and then panic in New or on
@@ -70,7 +66,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"no config port", func(c *Config) { c.Fabric.PortBytesPerNs = 0 }, "PortBytesPerNs = 0"},
 		{"negative bitstream", func(c *Config) { c.Fabric.BytesPerRegion = -1 }, "BytesPerRegion = -1"},
 		{"tiny smmu pages", func(c *Config) { c.SMMU.PageBits = 1 }, "PageBits = 1"},
-		{"oversized identity map", func(c *Config) { c.MappedBytes = 1 << 40 }, "MappedBytes = 1099511627776"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(2, 1)
@@ -99,7 +94,7 @@ func FuzzConfigValidate(f *testing.F) {
 		c := def
 		mut(&c)
 		f.Add(c.FanOut[0], c.FanOut[1], c.Unimem.PageBytes, c.SMMU.PageBits, c.SMMU.TLBEntries,
-			c.Fabric.Rows, c.Fabric.Cols, c.Fabric.BytesPerRegion, c.Fabric.PortBytesPerNs, c.MappedBytes)
+			c.Fabric.Rows, c.Fabric.Cols, c.Fabric.BytesPerRegion, c.Fabric.PortBytesPerNs)
 	}
 	seed(func(*Config) {})
 	seed(func(c *Config) { c.Unimem.PageBytes = 0 })
@@ -108,10 +103,11 @@ func FuzzConfigValidate(f *testing.F) {
 	seed(func(c *Config) { c.SMMU.PageBits = 70 })
 	seed(func(c *Config) { c.Fabric.PortBytesPerNs = 0 })
 	seed(func(c *Config) { c.Fabric.BytesPerRegion = -1 })
-	seed(func(c *Config) { c.SMMU.PageBits = 12; c.MappedBytes = MaxMappedBytes })
+	// 1 GiB pages: the 16 MiB identity window maps no whole page.
+	seed(func(c *Config) { c.SMMU.PageBits = 30 })
 	seed(func(c *Config) { c.FanOut = []int{8, 8}; c.Fabric.Rows = 256; c.Fabric.Cols = 256 })
 	f.Fuzz(func(t *testing.T, wpc, nodes, pageBytes, pageBits, tlb, rows, cols, bytesPerRegion int,
-		portBytesPerNs float64, mappedBytes int) {
+		portBytesPerNs float64) {
 		cfg := def
 		cfg.FanOut = []int{wpc, nodes}
 		cfg.Unimem.PageBytes = pageBytes
@@ -120,7 +116,6 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.Fabric.Rows, cfg.Fabric.Cols = rows, cols
 		cfg.Fabric.BytesPerRegion = bytesPerRegion
 		cfg.Fabric.PortBytesPerNs = portBytesPerNs
-		cfg.MappedBytes = mappedBytes
 		if cfg.Validate() != nil || wpc*nodes > 64 {
 			return
 		}

@@ -185,46 +185,19 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // Topology returns the tree the network spans.
 func (n *Network) Topology() *topo.Tree { return n.tree }
 
-// link is one direction of a tree link: capacity transfer slots, inUse
-// of them held, and a FIFO of the messages waiting for one, threaded
-// through sendOp.next. Its stats are the ones LinkStats reports, kept as
-// sim.Resource keeps them.
+// link is one direction of a tree link: its transfer slots, with the
+// stats LinkStats reports, and a FIFO of the messages waiting for one,
+// threaded through sendOp.next.
 type link struct {
-	capacity, inUse int
-	head, tail      *sendOp
-	queued          int
-
-	// busyInt accumulates inUse·Δt up to lastBusyAt; it is folded before
-	// every inUse change.
-	busyInt, lastBusyAt sim.Time
-	waited              sim.Time
-	grants              uint64
-	maxQueue            int
-}
-
-func (l *link) tickBusy(now sim.Time) {
-	if now > l.lastBusyAt {
-		l.busyInt += sim.Time(l.inUse) * (now - l.lastBusyAt)
-		l.lastBusyAt = now
-	}
-}
-
-// utilization is the fraction of [0, now] the link's slots were held.
-func (l *link) utilization(now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	b := l.busyInt
-	if now > l.lastBusyAt {
-		b += sim.Time(l.inUse) * (now - l.lastBusyAt)
-	}
-	return float64(b) / (float64(now) * float64(l.capacity))
+	sim.Occupancy
+	head, tail *sendOp
+	queued     int
 }
 
 func (n *Network) link(level, group, dir int) *link {
 	slot := &n.links[level][2*group+dir]
 	if *slot == nil {
-		*slot = &link{capacity: n.cfg.LinkCapacity}
+		*slot = &link{Occupancy: sim.NewOccupancy(n.cfg.LinkCapacity)}
 	}
 	return *slot
 }
@@ -234,10 +207,8 @@ func (n *Network) link(level, group, dir int) *link {
 func (n *Network) acquire(l *link, op *sendOp) {
 	op.link = l
 	now := n.eng.Now()
-	if l.inUse < l.capacity {
-		l.tickBusy(now)
-		l.inUse++
-		l.grants++
+	if l.Free() {
+		l.Take(now)
 		n.eng.AfterCall(op.hold, hopDone, op)
 		return
 	}
@@ -249,9 +220,7 @@ func (n *Network) acquire(l *link, op *sendOp) {
 	}
 	l.tail = op
 	l.queued++
-	if l.queued > l.maxQueue {
-		l.maxQueue = l.queued
-	}
+	l.Queued(l.queued)
 }
 
 // hopDone ends op's hold of its link. The slot passes straight to the
@@ -268,12 +237,10 @@ func hopDone(a any) {
 		}
 		w.next = nil
 		l.queued--
-		l.waited += now - w.start
-		l.grants++
+		l.Pass(w.start, now)
 		n.eng.AfterCall(w.hold, hopDone, w)
 	} else {
-		l.tickBusy(now)
-		l.inUse--
+		l.Return(now)
 	}
 	sendStep(op)
 }
@@ -308,8 +275,8 @@ func (n *Network) LinkStats(now sim.Time) []LinkStat {
 			out = append(out, LinkStat{
 				Level: level, Group: i / 2, Dir: i % 2,
 				Name:        fmt.Sprintf("link-l%d-g%d-d%d", level, i/2, i%2),
-				Utilization: l.utilization(now), Waited: l.waited,
-				Grants: l.grants, MaxQueue: l.maxQueue,
+				Utilization: l.Utilization(now), Waited: l.TotalWait(),
+				Grants: l.Acquisitions(), MaxQueue: l.MaxQueue(),
 			})
 		}
 	}
@@ -426,7 +393,7 @@ func (n *Network) FlapLink(w, level int, down sim.Time) bool {
 	group := n.tree.GroupOf(level, w)
 	for dir := 0; dir < 2; dir++ {
 		l := n.link(level, group, dir)
-		for i := 0; i < l.capacity; i++ {
+		for i := 0; i < l.Capacity(); i++ {
 			op := n.getSendOp()
 			op.n, op.i, op.hops, op.hold = n, 1, 1, down
 			n.acquire(l, op)

@@ -8,9 +8,8 @@
 // — an enqueued kernel is dispatched by the runtime scheduler to a CPU
 // or a reconfigurable block according to its policy.
 //
-// It also provides the distributed command queues of §4.4: an NDRange
-// enqueue fans work out across the Workers of the machine along the
-// buffers' data placement.
+// Each command queue is bound to one Worker; §4.4's distributed NDRange
+// queues, which would split one kernel across Workers, are not modelled.
 package ocl
 
 import (
@@ -393,57 +392,4 @@ func estimateStats(k *hls.Kernel, bufs []*Buffer, bindings map[string]float64) (
 		}
 	}
 	return hls.Run(k, vals)
-}
-
-// EnqueueNDRange splits an elementwise kernel across every Worker: the
-// distributed command queues of §4.4. The kernel must follow the
-// convention (global buffers ..., int N): each Worker receives a
-// contiguous chunk as sub-buffer views. Buffers must all have at least
-// n elements.
-func (c *Context) EnqueueNDRange(prog *Program, kernel string, n int, args []Arg, deps []*Event) *Event {
-	ev := newEvent(c.p.M.Eng)
-	k, ok := prog.Kernels[kernel]
-	if !ok {
-		ev.complete(fmt.Errorf("ocl: unknown kernel %q", kernel))
-		return ev
-	}
-	workers := c.p.M.Workers()
-	events := make([]*Event, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		if lo == hi {
-			continue
-		}
-		sub := make([]Arg, len(args))
-		for i, p := range k.Params {
-			if p.IsBuffer {
-				b := args[i].Buf
-				if b == nil || b.Elems < n {
-					ev.complete(fmt.Errorf("ocl: buffer arg %d too small for NDRange %d", i, n))
-					return ev
-				}
-				sub[i] = BufArg(&Buffer{ctx: c, addr: b.addr + uint64(lo*8), Elems: hi - lo})
-			} else if p.Name == "N" {
-				sub[i] = ScalarArg(float64(hi - lo))
-			} else {
-				sub[i] = args[i]
-			}
-		}
-		events = append(events, c.CreateQueue(w).EnqueueKernel(prog, kernel, sub, deps))
-	}
-	if len(events) == 0 {
-		ev.complete(nil)
-		return ev
-	}
-	after(events, func() {
-		for _, e := range events {
-			if e.Err != nil {
-				ev.complete(e.Err)
-				return
-			}
-		}
-		ev.complete(nil)
-	})
-	return ev
 }

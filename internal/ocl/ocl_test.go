@@ -134,11 +134,6 @@ func TestEnqueueErrors(t *testing.T) {
 		[]Arg{ScalarArg(1), ScalarArg(1), ScalarArg(1), ScalarArg(1)}, nil); ev.Err == nil {
 		t.Error("missing buffer should fail")
 	}
-	b := ctx.CreateBuffer(4, OnWorker, 0)
-	if ev := ctx.EnqueueNDRange(prog, "vecadd", 64,
-		[]Arg{BufArg(b), BufArg(b), BufArg(b), ScalarArg(64)}, nil); ev.Err == nil {
-		t.Error("undersized buffer in NDRange should fail")
-	}
 }
 
 func TestEventDependencies(t *testing.T) {
@@ -170,45 +165,6 @@ func TestEventDependencies(t *testing.T) {
 	for i, v := range d.Peek() {
 		if v != 3 {
 			t.Fatalf("d[%d] = %v, want 3 (chain broken)", i, v)
-		}
-	}
-}
-
-func TestNDRangeSplitsAcrossWorkers(t *testing.T) {
-	ctx := newCtx(t, 4, 1)
-	ctx.Machine().SetPolicy(rts.PolicyCPU{})
-	prog, _ := ctx.CreateProgram(workload.VecAdd.Source)
-	if err := prog.Build(hls.DefaultDirectives()); err != nil {
-		t.Fatal(err)
-	}
-	n := 4000
-	a := ctx.CreateBuffer(n, Interleaved, 0)
-	b := ctx.CreateBuffer(n, Interleaved, 0)
-	c := ctx.CreateBuffer(n, Interleaved, 0)
-	av := make([]float64, n)
-	bv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		av[i] = float64(i)
-		bv[i] = 2
-	}
-	a.Poke(av)
-	b.Poke(bv)
-	ev := ctx.EnqueueNDRange(prog, "vecadd", n,
-		[]Arg{BufArg(a), BufArg(b), BufArg(c), ScalarArg(float64(n))}, nil)
-	if err := ctx.WaitAll(ev); err != nil {
-		t.Fatal(err)
-	}
-	got := c.Peek()
-	for i := 0; i < n; i++ {
-		if got[i] != av[i]+2 {
-			t.Fatalf("c[%d] = %v, want %v", i, got[i], av[i]+2)
-		}
-	}
-	// Every worker must have executed a chunk.
-	m := ctx.Machine()
-	for w := 0; w < m.Workers(); w++ {
-		if m.Sched(w).Executed(rts.DeviceCPU) == 0 {
-			t.Errorf("worker %d executed nothing", w)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func TestLaneUtilization(t *testing.T) {
 // TestEmitCounterTracks checks coalescing and that the Chrome export
 // carries ph:"C" events.
 func TestEmitCounterTracks(t *testing.T) {
-	tr := trace.NewTracer(0)
+	tr := trace.NewTracer()
 	tr.Add(span(trace.CatCompute, 0, 50, "k", 1))
 	tr.Add(span(trace.CatCompute, 50, 80, "k", 1)) // back-to-back: no dip to 0 spike at 50
 	EmitCounterTracks(tr)
@@ -205,7 +205,7 @@ func TestSamplerDoesNotPerturb(t *testing.T) {
 func TestBottleneckReportStable(t *testing.T) {
 	mk := func() *Profiler {
 		eng := sim.NewEngine(3)
-		tr := trace.NewTracer(0)
+		tr := trace.NewTracer()
 		tr.SetProcessName(1, "worker 0")
 		tr.Add(span(trace.CatQueue, 0, 30, "k", 1))
 		tr.Add(span(trace.CatCompute, 30, 90, "k", 1))

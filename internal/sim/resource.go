@@ -22,13 +22,106 @@ type waiter struct {
 	start Time
 }
 
+// Occupancy is the token bookkeeping of a counting resource: capacity
+// tokens, how many are held, and the load stats every such resource
+// reports. Resource embeds it, and so does each NoC link, which queues
+// its waiters itself.
+type Occupancy struct {
+	capacity, inUse int
+
+	// Time-weighted occupancy: busyInt accumulates inUse·Δt (in
+	// token-picoseconds) up to lastBusyAt. Folding happens only when
+	// inUse changes, so the steady-state cost is two integer ops per
+	// transition and the integral is exact.
+	busyInt, lastBusyAt Time
+
+	acquired  uint64
+	totalWait Time
+	maxQueue  int
+}
+
+// NewOccupancy returns the bookkeeping of capacity idle tokens.
+func NewOccupancy(capacity int) Occupancy { return Occupancy{capacity: capacity} }
+
+// Capacity returns the total token count.
+func (o *Occupancy) Capacity() int { return o.capacity }
+
+// InUse returns the number of tokens currently held.
+func (o *Occupancy) InUse() int { return o.inUse }
+
+// Free reports whether a token is idle.
+func (o *Occupancy) Free() bool { return o.inUse < o.capacity }
+
+// tickBusy folds the interval since the last occupancy change into the
+// busy-time integral. Must be called before every inUse change.
+func (o *Occupancy) tickBusy(now Time) {
+	if now > o.lastBusyAt {
+		o.busyInt += Time(o.inUse) * (now - o.lastBusyAt)
+		o.lastBusyAt = now
+	}
+}
+
+// Take records an idle token granted at now.
+func (o *Occupancy) Take(now Time) {
+	o.tickBusy(now)
+	o.inUse++
+	o.acquired++
+}
+
+// Return records a token given back at now with nobody waiting for it.
+func (o *Occupancy) Return(now Time) {
+	o.tickBusy(now)
+	o.inUse--
+}
+
+// Pass records a held token handed straight to a waiter that has waited
+// since since; the held count is unchanged.
+func (o *Occupancy) Pass(since, now Time) {
+	o.totalWait += now - since
+	o.acquired++
+}
+
+// Queued records a waiter queue n deep.
+func (o *Occupancy) Queued(n int) {
+	if n > o.maxQueue {
+		o.maxQueue = n
+	}
+}
+
+// BusyTime returns the token-picoseconds of held-token time accumulated
+// up to now (now must not precede the engine clock's past transitions).
+func (o *Occupancy) BusyTime(now Time) Time {
+	b := o.busyInt
+	if now > o.lastBusyAt {
+		b += Time(o.inUse) * (now - o.lastBusyAt)
+	}
+	return b
+}
+
+// Utilization returns the fraction of [0, now] the tokens were held, in
+// [0, 1]; 0 when now is not positive.
+func (o *Occupancy) Utilization(now Time) float64 {
+	if now <= 0 {
+		return 0
+	}
+	return float64(o.BusyTime(now)) / (float64(now) * float64(o.capacity))
+}
+
+// Acquisitions returns how many tokens have been granted in total.
+func (o *Occupancy) Acquisitions() uint64 { return o.acquired }
+
+// TotalWait returns the summed queue-wait time across all acquisitions.
+func (o *Occupancy) TotalWait() Time { return o.totalWait }
+
+// MaxQueue returns the maximum observed waiter-queue depth.
+func (o *Occupancy) MaxQueue() int { return o.maxQueue }
+
 // Resource is a counting resource (e.g. a memory port, a DMA channel, an
 // accelerator's request slot) with capacity tokens and a FIFO of waiters.
 type Resource struct {
-	eng      *Engine
-	name     string
-	capacity int
-	inUse    int
+	Occupancy
+	eng  *Engine
+	name string
 
 	// The waiter queue is a ring buffer: wq[whead] is the oldest waiter
 	// and wlen the occupied count. A ring (with popped cells cleared)
@@ -40,18 +133,6 @@ type Resource struct {
 	wlen  int
 
 	handoff int // current synchronous hand-off recursion depth
-
-	// Stats.
-	acquired   uint64
-	totalWait  Time
-	maxWaiters int
-
-	// Time-weighted occupancy: busyInt accumulates inUse·Δt (in
-	// token-picoseconds) up to lastBusyAt. Folding happens only when
-	// inUse changes, so the steady-state cost is two integer ops per
-	// transition and the integral is exact.
-	busyInt    Time
-	lastBusyAt Time
 }
 
 // NewResource creates a resource with the given token capacity.
@@ -59,48 +140,14 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{eng: eng, name: name, capacity: capacity}
+	return &Resource{Occupancy: NewOccupancy(capacity), eng: eng, name: name}
 }
 
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total token count.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of tokens currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // QueueLen returns the number of callers waiting for a token.
 func (r *Resource) QueueLen() int { return r.wlen }
-
-// tickBusy folds the interval since the last occupancy change into the
-// busy-time integral. Must be called before every inUse change.
-func (r *Resource) tickBusy() {
-	if now := r.eng.now; now > r.lastBusyAt {
-		r.busyInt += Time(r.inUse) * (now - r.lastBusyAt)
-		r.lastBusyAt = now
-	}
-}
-
-// BusyTime returns the token-picoseconds of held-token time accumulated
-// up to now (now must not precede the engine clock's past transitions).
-func (r *Resource) BusyTime(now Time) Time {
-	b := r.busyInt
-	if now > r.lastBusyAt {
-		b += Time(r.inUse) * (now - r.lastBusyAt)
-	}
-	return b
-}
-
-// Utilization returns the fraction of [0, now] the resource's tokens
-// were held, in [0, 1]; 0 when now is not positive.
-func (r *Resource) Utilization(now Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(r.BusyTime(now)) / (float64(now) * float64(r.capacity))
-}
 
 // waitersCap exposes the ring's backing capacity for the boundedness test.
 func (r *Resource) waitersCap() int { return len(r.wq) }
@@ -120,9 +167,7 @@ func (r *Resource) pushWaiter(w waiter) {
 	}
 	r.wq[(r.whead+r.wlen)%len(r.wq)] = w
 	r.wlen++
-	if r.wlen > r.maxWaiters {
-		r.maxWaiters = r.wlen
-	}
+	r.Queued(r.wlen)
 }
 
 func (r *Resource) popWaiter() waiter {
@@ -141,10 +186,8 @@ func (r *Resource) Acquire(then func()) { r.AcquireCall(RunFunc, then) }
 // (possibly immediately, in the same event). With a statically allocated
 // fn and pointer-typed arg, queueing performs no heap allocation.
 func (r *Resource) AcquireCall(fn func(any), arg any) {
-	if r.inUse < r.capacity {
-		r.tickBusy()
-		r.inUse++
-		r.acquired++
+	if r.Free() {
+		r.Take(r.eng.now)
 		fn(arg)
 		return
 	}
@@ -158,9 +201,8 @@ func (r *Resource) Release() {
 	}
 	if r.wlen > 0 {
 		w := r.popWaiter()
-		r.totalWait += r.eng.Now() - w.start
-		r.acquired++
 		// The token transfers directly; inUse is unchanged.
+		r.Pass(w.start, r.eng.now)
 		if r.handoff >= maxHandoffDepth {
 			// Unwind a deep dependency chain through the event queue.
 			r.eng.AtCall(r.eng.now, w.fn, w.arg)
@@ -171,8 +213,7 @@ func (r *Resource) Release() {
 		r.handoff--
 		return
 	}
-	r.tickBusy()
-	r.inUse--
+	r.Return(r.eng.now)
 }
 
 // useOp is a pooled acquire→hold→release→notify operation backing
@@ -227,15 +268,6 @@ func (r *Resource) UseCall(hold Time, fn func(any), arg any) {
 	op.r, op.hold, op.fn, op.arg = r, hold, fn, arg
 	r.AcquireCall(useGranted, op)
 }
-
-// Acquisitions returns how many tokens have been granted in total.
-func (r *Resource) Acquisitions() uint64 { return r.acquired }
-
-// TotalWait returns the summed queue-wait time across all acquisitions.
-func (r *Resource) TotalWait() Time { return r.totalWait }
-
-// MaxQueue returns the maximum observed waiter-queue depth.
-func (r *Resource) MaxQueue() int { return r.maxWaiters }
 
 // Signal is a one-shot completion event that callbacks can wait on. Waits
 // registered after the signal fires run immediately.

@@ -11,10 +11,13 @@
 // instance — selects a context bank binding (ASID, VMID), so a hardware
 // function invoked directly from user space is confined to exactly the
 // pages that user's process maps.
+//
+// A translation fault is returned to the caller, which aborts the access;
+// the OS or hypervisor intervention that could map the page on demand
+// (§4.1) is not modelled.
 package smmu
 
 import (
-	"errors"
 	"fmt"
 
 	"ecoscale/internal/sim"
@@ -143,13 +146,6 @@ type tlbEntry struct {
 	valid   bool
 }
 
-// FaultHandler is the OS/hypervisor demand-mapping hook: invoked on a
-// translation fault, it may install the missing mapping and return true
-// to have the access retried. HandlerLatency models the OS round trip.
-// This is the "intervention of the OS (or the hypervisor)" of §4.1 that
-// the SMMU makes rare rather than per-access.
-type FaultHandler func(f *Fault) bool
-
 // SMMU is a dual-stage system MMU with a unified TLB.
 //
 // Two flyweight mechanisms keep an idle SMMU small: the TLB array is
@@ -167,10 +163,7 @@ type SMMU struct {
 	tlb      []tlbEntry
 	clock    uint64
 
-	handler        FaultHandler
-	HandlerLatency sim.Time
-
-	hits, misses, faults, handled uint64
+	hits, misses, faults uint64
 }
 
 // New creates an SMMU.
@@ -188,7 +181,7 @@ func New(cfg Config) *SMMU {
 
 // ShareTablesFrom points this SMMU's stage-1 and stage-2 tables at src's,
 // copy-on-write: lookups read the shared tables directly, and the first
-// local Map/Unmap takes a private deep copy. Context bindings and the TLB
+// local Map takes a private deep copy. Context bindings and the TLB
 // stay private. src must use the same page geometry.
 func (s *SMMU) ShareTablesFrom(src *SMMU) {
 	if src.cfg.PageBits != s.cfg.PageBits {
@@ -230,13 +223,6 @@ func (s *SMMU) offOf(addr uint64) uint64  { return addr & (s.PageSize() - 1) }
 // context bank selecting the stage-1 ASID and stage-2 VMID.
 func (s *SMMU) BindContext(streamID, asid, vmid int) {
 	s.contexts[streamID] = context{asid: asid, vmid: vmid}
-}
-
-// UnbindContext removes a stream's context bank; subsequent accesses
-// fault with FaultNoContext.
-func (s *SMMU) UnbindContext(streamID int) {
-	delete(s.contexts, streamID)
-	s.invalidateTLB(func(e *tlbEntry) bool { return e.stream == streamID })
 }
 
 // MapStage1 installs a VA→IPA mapping for an ASID.
@@ -302,30 +288,11 @@ func (s *SMMU) MapIdentity(asid, vmid, pages int, perm Perm) {
 	})
 }
 
-// UnmapStage1 removes a VA mapping.
-func (s *SMMU) UnmapStage1(asid int, va uint64) {
-	s.ownTables()
-	if m, ok := s.stage1[asid]; ok {
-		delete(m, s.pageOf(va))
-	}
-	s.invalidateTLB(func(e *tlbEntry) bool {
-		c, ok := s.contexts[e.stream]
-		return ok && c.asid == asid && e.vaPage == s.pageOf(va)
-	})
-}
-
 func (s *SMMU) invalidateTLB(match func(*tlbEntry) bool) {
 	for i := range s.tlb {
 		if s.tlb[i].valid && match(&s.tlb[i]) {
 			s.tlb[i].valid = false
 		}
-	}
-}
-
-// InvalidateAll flushes the whole TLB.
-func (s *SMMU) InvalidateAll() {
-	for i := range s.tlb {
-		s.tlb[i].valid = false
 	}
 }
 
@@ -410,40 +377,10 @@ func (s *SMMU) Latency(hit bool) sim.Time {
 	return s.cfg.TLBHitLatency + sim.Time(levels)*s.cfg.WalkLevelLatency
 }
 
-// SetFaultHandler installs the demand-mapping hook used by
-// TranslateTimed; nil disables retry.
-func (s *SMMU) SetFaultHandler(h FaultHandler) {
-	s.handler = h
-	if s.HandlerLatency == 0 {
-		s.HandlerLatency = 3 * sim.Microsecond // OS fault round trip
-	}
-}
-
-// Handled returns how many faults the handler resolved.
-func (s *SMMU) Handled() uint64 { return s.handled }
-
 // TranslateTimed performs a translation and schedules done with its
-// result after the appropriate TLB-hit or table-walk latency. On a
-// fault, an installed handler gets one chance (per fault, at OS-handler
-// latency) to map the page and retry — demand paging for user-level
-// accelerator access.
+// result after the appropriate TLB-hit or table-walk latency.
 func (s *SMMU) TranslateTimed(eng *sim.Engine, streamID int, va uint64, access Perm, done func(Result, error)) {
 	res, err := s.Translate(streamID, va, access)
-	if err != nil && s.handler != nil {
-		var f *Fault
-		if errors.As(err, &f) && s.handler(f) {
-			s.handled++
-			eng.After(s.HandlerLatency, func() {
-				res2, err2 := s.Translate(streamID, va, access)
-				eng.After(s.Latency(err2 == nil && res2.TLBHit), func() {
-					if done != nil {
-						done(res2, err2)
-					}
-				})
-			})
-			return
-		}
-	}
 	eng.After(s.Latency(err == nil && res.TLBHit), func() {
 		if done != nil {
 			done(res, err)

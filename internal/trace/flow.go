@@ -35,8 +35,10 @@ type FlowEvent struct {
 // NewFlowLog returns an empty log retaining up to cap events.
 func NewFlowLog(cap int) *FlowLog { return &FlowLog{Cap: cap} }
 
-// Add appends an event (no-op on a nil log, so call sites need no
-// guards).
+// Add appends an event. It is a no-op on a nil log, but call sites
+// guard it with a nil check anyway: the variadic arguments are boxed
+// before the call, so an unguarded call allocates even when the log is
+// off.
 func (l *FlowLog) Add(atPs int64, layer, format string, args ...any) {
 	if l == nil {
 		return
@@ -74,19 +76,6 @@ func (l *FlowLog) Len() int {
 		return 0
 	}
 	return len(l.events)
-}
-
-// Layers returns the distinct layers seen, in first-appearance order.
-func (l *FlowLog) Layers() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range l.Events() {
-		if !seen[e.Layer] {
-			seen[e.Layer] = true
-			out = append(out, e.Layer)
-		}
-	}
-	return out
 }
 
 // String renders the Fig. 5-style sequence listing.

@@ -67,12 +67,12 @@ func TestRegistryGauges(t *testing.T) {
 	if r.Gauge("a") == r.GaugeL("a", L("worker", "3")) {
 		t.Fatal("labeled gauge must be a distinct instance")
 	}
-	if g := r.FindGauge(`a{worker="3"}`); g == nil || g.Value() != 2 {
-		t.Fatalf("FindGauge by rendered key: %+v", g)
-	}
 	names := r.GaugeNames()
-	if len(names) != 2 || names[0] != "a" {
+	if len(names) != 2 || names[0] != "a" || names[1] != `a{worker="3"}` {
 		t.Fatalf("GaugeNames=%v", names)
+	}
+	if g := r.GaugeL("a", L("worker", "3")); g.Value() != 2 {
+		t.Fatalf("labeled gauge value = %v, want 2", g.Value())
 	}
 }
 

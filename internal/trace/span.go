@@ -96,12 +96,7 @@ func (s Span) Dur() int64 { return s.End - s.Start }
 // Tracer records spans for one simulated machine. A nil *Tracer is a
 // valid, disabled tracer: all methods are no-ops.
 type Tracer struct {
-	// Cap bounds retained spans (0 = unbounded); spans past the cap are
-	// counted in Dropped rather than retained.
-	Cap int
-
 	spans    []Span
-	dropped  uint64
 	procs    map[int]string
 	threads  map[int]map[int]string
 	counters []CounterSample
@@ -124,10 +119,9 @@ type CounterSample struct {
 	Value float64
 }
 
-// NewTracer returns an enabled tracer retaining up to cap spans
-// (0 = unbounded).
-func NewTracer(cap int) *Tracer {
-	return &Tracer{Cap: cap, procs: map[int]string{}, threads: map[int]map[int]string{}}
+// NewTracer returns an enabled tracer that retains every span.
+func NewTracer() *Tracer {
+	return &Tracer{procs: map[int]string{}, threads: map[int]map[int]string{}}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -136,10 +130,6 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // Add records one span. It is safe and allocation-free on a nil tracer.
 func (t *Tracer) Add(s Span) {
 	if t == nil {
-		return
-	}
-	if t.Cap > 0 && len(t.spans) >= t.Cap {
-		t.dropped++
 		return
 	}
 	t.spans = append(t.spans, s)
@@ -154,8 +144,8 @@ func (t *Tracer) Instant(atPs int64, cat, name string, pid, tid int) {
 }
 
 // AddCounter records one counter-track sample. Safe on a nil tracer.
-// Counter samples are not bounded by Cap: they come from the profiler's
-// utilization and sampling passes, which emit O(transitions) points.
+// Counter samples come from the profiler's utilization and sampling
+// passes, which emit O(transitions) points.
 func (t *Tracer) AddCounter(atPs int64, pid int, name string, v float64) {
 	if t == nil {
 		return
@@ -178,14 +168,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return len(t.spans)
-}
-
-// Dropped returns how many spans were discarded because Cap was reached.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
 }
 
 // Spans returns the retained spans in recording order.

@@ -26,7 +26,7 @@ type chromeTrace struct {
 }
 
 func TestWriteChromeRoundTrip(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracer()
 	tr.SetProcessName(WorkerPID(0), "worker 0")
 	tr.SetThreadName(WorkerPID(0), TIDCPU, "cpu")
 	tr.Add(Span{Name: "matmul", Cat: CatCompute, Start: 2_000_000, End: 5_000_000,
@@ -105,23 +105,13 @@ func TestWriteChromeNilAndEmpty(t *testing.T) {
 	}
 }
 
-func TestTracerCapDrops(t *testing.T) {
-	tr := NewTracer(2)
-	for i := 0; i < 5; i++ {
-		tr.Add(Span{Name: "s", Cat: CatQueue, Start: int64(i), End: int64(i + 1)})
-	}
-	if tr.Len() != 2 || tr.Dropped() != 3 {
-		t.Fatalf("Len=%d Dropped=%d; want 2, 3", tr.Len(), tr.Dropped())
-	}
-}
-
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Add(Span{Name: "x"})
 	tr.Instant(0, CatSteal, "probe", 0, 0)
 	tr.SetProcessName(0, "p")
 	tr.SetThreadName(0, 0, "t")
-	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
+	if tr.Enabled() || tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer must look empty and disabled")
 	}
 	if got := tr.Breakdown(); len(got.Rows) != 0 {
@@ -153,7 +143,7 @@ func BenchmarkDisabledTracerAdd(b *testing.B) {
 }
 
 func BenchmarkEnabledTracerAdd(b *testing.B) {
-	tr := NewTracer(0)
+	tr := NewTracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Add(Span{Name: "matmul", Cat: CatCompute, Start: int64(i), End: int64(i + 1),
@@ -162,7 +152,7 @@ func BenchmarkEnabledTracerAdd(b *testing.B) {
 }
 
 func TestBreakdown(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracer()
 	for i := 1; i <= 10; i++ {
 		tr.Add(Span{Name: "q", Cat: CatQueue, Start: 0, End: int64(i) * 1_000_000})
 	}

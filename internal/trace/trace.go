@@ -266,22 +266,6 @@ func (h *Histogram) BucketBound(i int) float64 {
 	return h.lo + float64(i+1)*width
 }
 
-// Series is an append-only (x, y) time/parameter series.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds one point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
 // Table is a simple column-oriented results table rendered as aligned text
 // or CSV. It is the output format of every experiment row generator.
 type Table struct {
@@ -452,10 +436,6 @@ func (r *Registry) GaugeL(name string, labels ...Label) *Gauge {
 	return g
 }
 
-// FindGauge returns the gauge stored under key (name plus rendered
-// labels), or nil — a lookup that never creates.
-func (r *Registry) FindGauge(key string) *Gauge { return r.gauges[key] }
-
 // GaugeNames returns all gauge keys (name plus labels), sorted.
 func (r *Registry) GaugeNames() []string {
 	names := make([]string, 0, len(r.gauges))
@@ -534,13 +514,4 @@ func (r *Registry) HistogramNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Dump renders all counters as a table, sorted by name.
-func (r *Registry) Dump() *Table {
-	t := NewTable("counters", "name", "value")
-	for _, n := range r.CounterNames() {
-		t.AddRow(n, r.counters[n].Value)
-	}
-	return t
 }

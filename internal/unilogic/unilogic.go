@@ -241,8 +241,10 @@ func (d *Domain) Call(caller int, kernel string, spec accel.CallSpec, done func(
 	if in.Worker != caller {
 		d.remoteCalls++
 	}
-	d.Flow.Add(int64(d.eng.Now()), "unilogic", "route %s: caller w%d -> instance %s (%d pending, policy %s)",
-		kernel, caller, key(in), d.pending[key(in)], d.Policy)
+	if d.Flow != nil {
+		d.Flow.Add(int64(d.eng.Now()), "unilogic", "route %s: caller w%d -> instance %s (%d pending, policy %s)",
+			kernel, caller, key(in), d.pending[key(in)], d.Policy)
+	}
 	d.Trace.Add(trace.Span{Name: kernel, Cat: trace.CatRoute,
 		Start: int64(d.eng.Now()), End: int64(d.eng.Now()),
 		PID: trace.WorkerPID(caller), TID: trace.TIDCPU, Arg: int64(in.Worker)})
