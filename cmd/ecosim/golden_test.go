@@ -126,3 +126,34 @@ func checkGolden(t *testing.T, path string, got []byte) {
 		}
 	}
 }
+
+// TestFlowcap: a -flowtrace listing cut at -flowcap ends with one line
+// naming how many events it left out, and -flowcap 0 prints every event,
+// even past the 10,000 at which an earlier bounded log stopped.
+func TestFlowcap(t *testing.T) {
+	const header = "== layer interaction flow (Fig. 5) ==\n"
+	listing := func(flowcap string) []string {
+		out := runEcosim(t, t.TempDir(), "-nodes", "4", "-workers", "8", "-tasks", "4000",
+			"-kernel", "fir", "-flowtrace", "-flowcap", flowcap)
+		_, l, ok := strings.Cut(string(out), header)
+		if !ok {
+			t.Fatalf("-flowcap %s: no listing in\n%s", flowcap, out)
+		}
+		return strings.Split(strings.TrimSuffix(l, "\n"), "\n")
+	}
+	cut := listing("10")
+	var omitted int
+	if len(cut) != 11 {
+		t.Fatalf("-flowcap 10 printed %d lines, want 10 and a footer", len(cut))
+	}
+	if _, err := fmt.Sscanf(cut[10], "... %d more events not shown", &omitted); err != nil {
+		t.Fatalf("-flowcap 10 footer %q: %v", cut[10], err)
+	}
+	all := listing("0")
+	if len(all) != 10+omitted || len(all) <= 10000 {
+		t.Errorf("-flowcap 0 printed %d lines, want 10 + %d omitted (> 10000)", len(all), omitted)
+	}
+	if strings.Contains(all[len(all)-1], "not shown") {
+		t.Errorf("-flowcap 0 listing ends with a footer: %q", all[len(all)-1])
+	}
+}

@@ -48,7 +48,7 @@ func main() {
 	compress := flag.Bool("compress", true, "compressed bitstream loading")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flowTrace := flag.Bool("flowtrace", false, "print the Fig. 5 layer-interaction trace")
-	flowCap := flag.Int("flowcap", 40, "max layer-interaction events to print with -flowtrace")
+	flowCap := flag.Int("flowcap", 40, "max layer-interaction events to print with -flowtrace (0 = all)")
 	diagram := flag.Bool("diagram", false, "print Worker 0's Fig. 4 block diagram before running")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file")
 	metricsOut := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot")
@@ -68,7 +68,7 @@ func main() {
 	ckptBytes := flag.Int("ckpt-bytes", 0, "snapshot bytes per Worker checkpoint (0 = default)")
 	flag.Parse()
 
-	if err := checkWorkload(*nSize, *tasks); err != nil {
+	if err := checkWorkload(*nSize, *tasks, *flowCap); err != nil {
 		log.Fatal(err)
 	}
 	w, err := workload.ByName(*kernelName)
@@ -79,8 +79,7 @@ func main() {
 	cfg := ecoscale.DefaultConfig(*workers, *nodes)
 	cfg.Seed = *seed
 	cfg.CompressedBitstreams = *compress
-	cfg.FlowTrace = *flowTrace
-	cfg.Trace = *traceOut != ""
+	cfg.Trace = *traceOut != "" || *flowTrace
 	cfg.Profile = *profileOn
 	cfg.ProfileInterval = sim.Time(profileInt.Nanoseconds()) * sim.Nanosecond
 	switch *sharing {
@@ -200,15 +199,11 @@ func main() {
 	if m.Cluster.Steals > 0 {
 		fmt.Printf("work stealing: %d steals, %d monitor msgs\n", m.Cluster.Steals, m.Cluster.StealMsgs)
 	}
-	if *flowTrace && m.Flow != nil {
-		evs := m.Flow.Events()
-		if *flowCap > 0 && len(evs) > *flowCap {
-			evs = evs[:*flowCap]
-		}
+	if *flowTrace {
 		fmt.Println()
-		fmt.Println("== layer interaction flow (Fig. 5), first events ==")
-		for _, e := range evs {
-			fmt.Printf("%12.3fus  %-12s %s\n", float64(e.AtPs)/1e6, e.Layer, e.Event)
+		fmt.Println("== layer interaction flow (Fig. 5) ==")
+		if err := m.Tracer.WriteFlow(os.Stdout, *flowCap); err != nil {
+			log.Fatal(err)
 		}
 	}
 	if *profileOn {
@@ -236,14 +231,17 @@ func main() {
 	}
 }
 
-// checkWorkload rejects a problem size or task count no run can use, before
-// any machine is built.
-func checkWorkload(n, tasks int) error {
+// checkWorkload rejects a problem size, task count or listing cap no run
+// can use, before any machine is built.
+func checkWorkload(n, tasks, flowCap int) error {
 	if n < 1 {
 		return fmt.Errorf("ecosim: -n %d: the problem size must be at least 1", n)
 	}
 	if tasks < 0 {
 		return fmt.Errorf("ecosim: -tasks %d: the task count cannot be negative", tasks)
+	}
+	if flowCap < 0 {
+		return fmt.Errorf("ecosim: -flowcap %d: the listing cap cannot be negative (0 prints every event)", flowCap)
 	}
 	return nil
 }

@@ -88,8 +88,6 @@ type Manager struct {
 	Compressed bool
 	// StreamWindow is the memory-pipelining depth for argument streams.
 	StreamWindow int
-	// Flow, when non-nil, records the Fig. 5 layer-interaction trace.
-	Flow *trace.FlowLog
 	// Trace, when non-nil, records doorbell/SMMU and hardware-compute
 	// spans on this Worker's fabric lane.
 	Trace *trace.Tracer
@@ -265,27 +263,20 @@ func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
 	// Worker (free when local).
 	issued := m.eng.Now()
 	m.Space.Network().Send(caller, in.Worker, 16, noc.Store, func() {
-		if m.Flow != nil {
-			m.Flow.Add(int64(m.eng.Now()), "middleware", "doorbell for %s at worker %d (from w%d)",
-				in.Placement.Module.Name, in.Worker, caller)
-		}
 		// SMMU translation for the call's first VA (per-call page pin);
 		// subsequent line accesses hit the TLB and are folded into the
 		// stream model.
 		m.translate(in.StreamID, spec, func(terr error) {
+			detail := ""
+			if terr != nil {
+				detail = "fault"
+			}
 			m.Trace.Add(trace.Span{Name: in.Placement.Module.Name, Cat: trace.CatSMMU,
 				Start: int64(issued), End: int64(m.eng.Now()),
-				PID: trace.WorkerPID(in.Worker), TID: trace.TIDFabric, Arg: int64(caller)})
+				PID: trace.WorkerPID(in.Worker), TID: trace.TIDFabric, Detail: detail, Arg: int64(caller)})
 			if terr != nil {
-				if m.Flow != nil {
-					m.Flow.Add(int64(m.eng.Now()), "middleware", "SMMU fault: %v", terr)
-				}
 				finish(terr)
 				return
-			}
-			if m.Flow != nil {
-				m.Flow.Add(int64(m.eng.Now()), "middleware", "SMMU translated %d span(s) for stream %d",
-					len(spec.Reads)+len(spec.Writes), in.StreamID)
 			}
 			in.execute(spec, finish)
 		})
@@ -376,10 +367,6 @@ func (in *Instance) execute(spec CallSpec, finish func(error)) {
 func execCompute(a any) {
 	op := a.(*execOp)
 	in, m := op.in, op.in.mgr
-	if m.Flow != nil {
-		m.Flow.Add(int64(m.eng.Now()), "hardware", "%s@w%d: arguments streamed in, entering pipeline (II=%d)",
-			in.Placement.Module.Name, in.Worker, in.Impl.II())
-	}
 	op.cstart = m.eng.Now()
 	in.pipe.UseCall(op.hold, execDrain, op)
 }
@@ -395,10 +382,6 @@ func execDrain(a any) {
 func execWriteback(a any) {
 	op := a.(*execOp)
 	in, m, spec := op.in, op.in.mgr, op.spec
-	if m.Flow != nil {
-		m.Flow.Add(int64(m.eng.Now()), "hardware", "%s@w%d: pipeline drained, streaming results",
-			in.Placement.Module.Name, in.Worker)
-	}
 	m.Trace.Add(trace.Span{Name: in.Placement.Module.Name, Cat: trace.CatCompute,
 		Start: int64(op.cstart), End: int64(m.eng.Now()),
 		PID: trace.WorkerPID(in.Worker), TID: trace.TIDFabric, Detail: "hw"})

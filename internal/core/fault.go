@@ -168,9 +168,6 @@ func (m *Machine) KillWorker(w int) {
 		Start: int64(now), End: int64(now),
 		PID: trace.WorkerPID(w), TID: trace.TIDCPU})
 	m.Reg.Counter("fault.worker_deaths").Inc()
-	if m.Flow != nil {
-		m.Flow.Add(int64(now), "fault", "worker %d fail-stopped", w)
-	}
 
 	// Fabric side: every instance on w is lost; in-flight calls on them
 	// complete with ErrInstanceLost and requeue at their callers.
@@ -260,9 +257,6 @@ func (m *Machine) FailFabricRegion(w, row, col int) {
 		Start: int64(now), End: int64(now),
 		PID: trace.WorkerPID(w), TID: trace.TIDFabric, Arg: int64(row*m.Cfg.Fabric.Cols + col)})
 	m.Reg.Counter("fault.region_failures").Inc()
-	if m.Flow != nil {
-		m.Flow.Add(int64(now), "fault", "worker %d fabric region (%d,%d) failed", w, row, col)
-	}
 	mgr := m.Manager(w)
 	if mgr.OnUnload == nil {
 		mgr.OnUnload = m.domainUnload
@@ -281,9 +275,9 @@ func (m *Machine) FailFabricRegion(w, row, col int) {
 			name := in.Impl.Kernel.Name
 			if err != nil {
 				m.Reg.Counter("fault.sw_fallbacks").Inc()
-				if m.Flow != nil {
-					m.Flow.Add(int64(m.Eng.Now()), "fault", "%s@w%d not redeployable (%v); software fallback", name, w, err)
-				}
+				at := int64(m.Eng.Now())
+				m.Tracer.Add(trace.Span{Name: name, Cat: trace.CatRecover, Start: at, End: at,
+					PID: trace.WorkerPID(w), TID: trace.TIDFabric, Detail: "sw-fallback"})
 				return
 			}
 			m.Reg.Counter("fault.modules_redeployed").Inc()
@@ -303,9 +297,6 @@ func (m *Machine) FlapLink(w, level int, down sim.Time) {
 			Start: int64(now), End: int64(now + down),
 			PID: trace.WorkerPID(w), TID: trace.TIDDMA, Arg: int64(level)})
 		m.Reg.Counter("fault.link_flaps").Inc()
-		if m.Flow != nil {
-			m.Flow.Add(int64(now), "fault", "worker %d level-%d link down for %v", w, level, down)
-		}
 	}
 }
 

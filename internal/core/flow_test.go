@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,17 +11,14 @@ import (
 )
 
 // TestFlowTraceReproducesFig5 drives one hardware call through the full
-// stack with tracing on and checks the Fig. 5 sequence: the runtime
-// dispatches, UNILOGIC routes, the middleware rings the doorbell and
-// translates, the hardware streams/computes, and the runtime records the
-// completion — in that order.
+// stack with tracing on and checks the Fig. 5 listing the tracer renders:
+// the runtime dispatches, UNILOGIC routes, the middleware rings the
+// doorbell and translates, the hardware computes, and the runtime records
+// the completion — in that order.
 func TestFlowTraceReproducesFig5(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
-	cfg.FlowTrace = true
+	cfg.Trace = true
 	m := New(cfg)
-	if m.Flow == nil {
-		t.Fatal("flow log not created")
-	}
 	if _, err := m.DeployKernel(srcScale, hls.DefaultDirectives(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -33,38 +31,54 @@ func TestFlowTraceReproducesFig5(t *testing.T) {
 		Reads:    []accel.Span{{Addr: addr, Size: 1024}},
 	}, nil)
 	m.Run()
-	evs := m.Flow.Events()
+	var listing strings.Builder
+	if err := m.Tracer.WriteFlow(&listing, 0); err != nil {
+		t.Fatal(err)
+	}
+	type event struct {
+		at          float64
+		layer, text string
+	}
+	var evs []event
+	for _, line := range strings.Split(strings.TrimSuffix(listing.String(), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			t.Fatalf("malformed listing line %q", line)
+		}
+		at, err := strconv.ParseFloat(strings.TrimSuffix(f[0], "us"), 64)
+		if err != nil {
+			t.Fatalf("listing line %q: %v", line, err)
+		}
+		evs = append(evs, event{at, f[1], strings.Join(f[2:], " ")})
+	}
 	if len(evs) < 5 {
-		t.Fatalf("only %d flow events", len(evs))
+		t.Fatalf("only %d flow events:\n%s", len(evs), listing.String())
 	}
 	// Expected layer order for the first call.
 	wantOrder := []string{"runtime", "unilogic", "middleware", "hardware"}
 	idx := 0
 	for _, e := range evs {
-		if idx < len(wantOrder) && e.Layer == wantOrder[idx] {
+		if idx < len(wantOrder) && e.layer == wantOrder[idx] {
 			idx++
 		}
 	}
 	if idx != len(wantOrder) {
-		t.Errorf("layer sequence incomplete (%d/%d):\n%s", idx, len(wantOrder), m.Flow.String())
+		t.Errorf("layer sequence incomplete (%d/%d):\n%s", idx, len(wantOrder), listing.String())
 	}
 	// The final event must be the runtime recording completion.
 	last := evs[len(evs)-1]
-	if last.Layer != "runtime" || !strings.Contains(last.Event, "completed") {
-		t.Errorf("last event = %s/%s", last.Layer, last.Event)
+	if last.layer != "runtime" || !strings.Contains(last.text, "completed") {
+		t.Errorf("last event = %s/%s", last.layer, last.text)
 	}
 	// Timestamps are monotone.
 	for i := 1; i < len(evs); i++ {
-		if evs[i].AtPs < evs[i-1].AtPs {
-			t.Fatal("flow events out of order")
+		if evs[i].at < evs[i-1].at {
+			t.Fatalf("flow events out of order:\n%s", listing.String())
 		}
-	}
-	if !strings.Contains(m.Flow.String(), "Fig. 5") {
-		t.Error("String() missing header")
 	}
 	layers := map[string]bool{}
 	for _, e := range evs {
-		layers[e.Layer] = true
+		layers[e.layer] = true
 	}
 	if len(layers) < 4 {
 		t.Errorf("layers = %v", layers)

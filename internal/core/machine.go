@@ -71,8 +71,6 @@ type Config struct {
 	Virtualize bool
 	// CompressedBitstreams enables RLE-compressed reconfiguration.
 	CompressedBitstreams bool
-	// FlowTrace enables the Fig. 5 layer-interaction log (Machine.Flow).
-	FlowTrace bool
 	// Trace enables the span tracer (Machine.Tracer): task-lifecycle
 	// spans across every layer, exportable as Chrome trace-event JSON.
 	Trace bool
@@ -147,7 +145,6 @@ type Machine struct {
 	Domain  *unilogic.Domain
 	Cluster *rts.Cluster
 	Daemon  *rts.Daemon
-	Flow    *trace.FlowLog
 	Tracer  *trace.Tracer
 	// Prof is the simulation profiler (nil unless Config.Profile).
 	Prof *profile.Profiler
@@ -204,13 +201,8 @@ func New(cfg Config) *Machine {
 		energy.StaticLoad{Category: "static.cpu", Power: cfg.Cost.CPUStatic},
 		energy.StaticLoad{Category: "static.dram", Power: cfg.Cost.DRAMStatic},
 		energy.StaticLoad{Category: "static.fpga", Power: cfg.Cost.FPGAStatic})
-	if cfg.FlowTrace {
-		m.Flow = trace.NewFlowLog(10000)
-		m.Flow.Reg = m.Reg
-	}
 	m.Domain = unilogic.NewDomainFrom(m.Tree, machineManagers{m}, m.Eng)
 	m.Domain.Policy = cfg.Sharing
-	m.Domain.Flow = m.Flow
 	m.Domain.Trace = m.Tracer
 	m.Domain.Reg = m.Reg
 	m.Cluster = rts.NewClusterFrom(cfg.Balance, machineScheds{m}, m.Net)
@@ -275,7 +267,6 @@ func (m *Machine) Sched(w int) *rts.Scheduler {
 	i := w % m.wpc
 	if sh.scheds[i] == nil {
 		s := rts.NewScheduler(w, m.Domain, m.Eng, m.Meter)
-		s.Flow = m.Flow
 		s.Trace = m.Tracer
 		s.Reg = m.Reg
 		if m.defPolicy != nil {
@@ -311,7 +302,6 @@ func (m *Machine) Manager(w int) *accel.Manager {
 		mgr.Compressed = m.Cfg.CompressedBitstreams
 		mgr.Trace = m.Tracer
 		mgr.Reg = m.Reg
-		mgr.Flow = m.Flow
 		if m.faults != nil {
 			mgr.OnUnload = m.domainUnload
 		}

@@ -81,9 +81,6 @@ func (s *Scheduler) requeue(t *Task, done func(Device, error)) {
 	if s.Reg != nil {
 		s.Reg.Counter("fault.tasks_requeued").Inc()
 	}
-	if s.Flow != nil {
-		s.Flow.Add(int64(now), "runtime", "worker %d: %s lost its instance, requeued", s.Worker, t.Kernel)
-	}
 	s.queue = append(s.queue, queued{t, done})
 	s.pump()
 }

@@ -10,10 +10,7 @@ package rts
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 
 	"ecoscale/internal/accel"
 	"ecoscale/internal/energy"
@@ -294,8 +291,6 @@ type Scheduler struct {
 	// HWOverhead is the fixed per-call offload cost the oracle policy
 	// charges (doorbell + translation + control).
 	HWOverhead sim.Time
-	// Flow, when non-nil, records the Fig. 5 layer-interaction trace.
-	Flow *trace.FlowLog
 	// Trace, when non-nil, records task-lifecycle spans (queue wait,
 	// dispatch, compute, whole task) for the Chrome/Perfetto export.
 	Trace *trace.Tracer
@@ -483,10 +478,6 @@ func (s *Scheduler) start(q queued, dev Device) {
 	s.waitTime += wait
 	start := s.eng.Now()
 	pid := trace.WorkerPID(s.Worker)
-	if s.Flow != nil {
-		s.Flow.Add(int64(start), "runtime", "worker %d: %s(%s) dispatched to %s by policy %s",
-			s.Worker, t.Kernel, fmtBindings(t.Bindings), dev, s.Policy.Name())
-	}
 	s.Trace.Add(trace.Span{Name: t.Kernel, Cat: trace.CatQueue,
 		Start: int64(t.submitted), End: int64(start),
 		PID: pid, TID: trace.TIDCPU, Task: t.ID})
@@ -590,10 +581,6 @@ func taskFinish(op *taskOp, err error) {
 		Kernel: t.Kernel, Device: dev,
 		Features: t.Features(), Duration: now - start,
 	})
-	if s.Flow != nil {
-		s.Flow.Add(int64(now), "runtime", "worker %d: %s completed on %s (recorded to history)",
-			s.Worker, t.Kernel, dev)
-	}
 	s.Trace.Add(trace.Span{Name: t.Kernel, Cat: trace.CatTask,
 		Start: int64(t.submitted), End: int64(now),
 		PID: trace.WorkerPID(s.Worker), TID: trace.TIDCPU, Task: t.ID, Detail: dev.String()})
@@ -633,18 +620,4 @@ type tasksCtr struct {
 	kernel, policy string
 	dev            Device
 	c              *trace.Counter
-}
-
-// fmtBindings renders scalar bindings compactly and deterministically.
-func fmtBindings(b map[string]float64) string {
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%g", k, b[k])
-	}
-	return strings.Join(parts, ",")
 }

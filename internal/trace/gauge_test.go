@@ -121,24 +121,3 @@ func TestGaugeExports(t *testing.T) {
 		}
 	}
 }
-
-// TestFlowLogDropCounter: cap drops surface as a registry counter so the
-// loss is visible in metrics exports, not only in the printed footer.
-func TestFlowLogDropCounter(t *testing.T) {
-	r := NewRegistry()
-	l := NewFlowLog(2)
-	l.Reg = r
-	for i := 0; i < 5; i++ {
-		l.Add(int64(i), "runtime", "event %d", i)
-	}
-	if got := r.Counter(FlowDropsCounter).Value; got != 3 {
-		t.Fatalf("%s=%d, want 3", FlowDropsCounter, got)
-	}
-	// Without a registry the log still drops silently.
-	free := NewFlowLog(1)
-	free.Add(0, "x", "a")
-	free.Add(1, "x", "b")
-	if free.Dropped() != 1 {
-		t.Fatal("unregistered flow log must still count drops")
-	}
-}

@@ -21,8 +21,8 @@ import (
 // has a nil receiver guard, and Add takes the Span by value so a call
 // site on a nil *Tracer costs a branch and no heap traffic.
 
-// Span categories. These are the "cat" values in the Chrome export; the
-// latency-breakdown table groups durations by category.
+// Span categories. These are the "cat" values in the Chrome export;
+// WriteFlow maps them to the layers of the Fig. 5 listing.
 const (
 	CatQueue    = "queue"    // submit → dispatch wait in a Worker queue
 	CatCompute  = "compute"  // CPU execution or fabric pipeline occupancy
@@ -388,35 +388,73 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Breakdown renders a latency table (count and duration quantiles in
-// microseconds) for each span category present, sorted by category —
-// the per-stage "where does task time go" summary of Figs. 2–5.
-func (t *Tracer) Breakdown() *Table {
-	tbl := NewTable("latency breakdown (us)", "stage", "n", "p50", "p90", "p99", "max")
-	if t == nil {
-		return tbl
+// WriteFlow renders the Fig. 5 layer-interaction listing from the
+// retained spans: the runtime dispatches, UNILOGIC routes, the
+// middleware rings the doorbell and translates, the hardware computes,
+// and the runtime records the completion; faults and recovery actions
+// interleave. Lines are stable-sorted by time. max > 0 prints at most
+// max lines and ends the cut listing with a line naming how many it left
+// out; max == 0 prints every line.
+func (t *Tracer) WriteFlow(w io.Writer, max int) error {
+	type line struct {
+		at          int64
+		layer, text string
 	}
-	byCat := map[string][]float64{}
-	for i := range t.spans {
-		s := &t.spans[i]
-		if s.End <= s.Start {
-			continue
+	var lines []line
+	for _, s := range t.Spans() {
+		if at, layer, text := flowLine(s); layer != "" {
+			lines = append(lines, line{at, layer, text})
 		}
-		byCat[s.Cat] = append(byCat[s.Cat], float64(s.End-s.Start)/1e6)
 	}
-	cats := make([]string, 0, len(byCat))
-	for c := range byCat {
-		cats = append(cats, c)
+	sort.SliceStable(lines, func(a, b int) bool { return lines[a].at < lines[b].at })
+	shown := lines
+	if max > 0 && len(shown) > max {
+		shown = shown[:max]
 	}
-	sort.Strings(cats)
-	for _, c := range cats {
-		ds := byCat[c]
-		sort.Float64s(ds)
-		q := func(p float64) float64 {
-			i := int(p * float64(len(ds)-1))
-			return ds[i]
+	bw := bufio.NewWriter(w)
+	for _, l := range shown {
+		fmt.Fprintf(bw, "%12.3fus  %-12s %s\n", float64(l.at)/1e6, l.layer, l.text)
+	}
+	if n := len(lines) - len(shown); n > 0 {
+		fmt.Fprintf(bw, "... %d more events not shown\n", n)
+	}
+	return bw.Flush()
+}
+
+// flowLine maps one span to its Fig. 5 listing line: the time it
+// happens, its layer and its text. layer is "" for a span that is not a
+// Fig. 5 step.
+func flowLine(s Span) (at int64, layer, text string) {
+	w := s.PID - 1
+	switch {
+	case s.Cat == CatDispatch:
+		return s.Start, "runtime", fmt.Sprintf("worker %d: %s dispatched to %s", w, s.Name, s.Detail)
+	case s.Cat == CatRoute:
+		return s.Start, "unilogic", fmt.Sprintf("route %s: caller w%d -> instance %s@%d", s.Name, w, s.Name, s.Arg)
+	case s.Cat == CatSMMU:
+		result := "translated"
+		if s.Detail == "fault" {
+			result = "fault"
 		}
-		tbl.AddRow(c, len(ds), q(0.50), q(0.90), q(0.99), ds[len(ds)-1])
+		return s.End, "middleware", fmt.Sprintf("doorbell for %s at worker %d (from w%d), SMMU %s", s.Name, w, s.Arg, result)
+	case s.Cat == CatCompute && s.TID == TIDFabric:
+		return s.Start, "hardware", fmt.Sprintf("%s@w%d: arguments streamed in, pipeline busy %.3fus", s.Name, w, float64(s.Dur())/1e6)
+	case s.Cat == CatTask:
+		return s.End, "runtime", fmt.Sprintf("worker %d: %s completed on %s (recorded to history)", w, s.Name, s.Detail)
+	case s.Cat == CatRecover && s.Detail == "requeue":
+		return s.Start, "runtime", fmt.Sprintf("worker %d: %s lost its instance, requeued", w, s.Name)
+	case s.Cat == CatRecover && s.Detail == "sw-fallback":
+		return s.Start, "runtime", fmt.Sprintf("%s@w%d not redeployable; software fallback", s.Name, w)
+	case s.Cat == CatRecover && s.Name == "evacuate":
+		return s.End, "runtime", fmt.Sprintf("worker %d: evacuated to w%d", w, s.Arg)
+	case s.Cat == CatRecover && s.Name == "redeploy":
+		return s.End, "runtime", fmt.Sprintf("%s@w%d redeployed", s.Detail, w)
+	case s.Cat == CatFault && s.Name == "kill-worker":
+		return s.Start, "fault", fmt.Sprintf("worker %d fail-stopped", w)
+	case s.Cat == CatFault && s.Name == "fail-region":
+		return s.Start, "fault", fmt.Sprintf("worker %d fabric region %d failed", w, s.Arg)
+	case s.Cat == CatFault && s.Name == "flap-link":
+		return s.Start, "fault", fmt.Sprintf("worker %d level-%d link down for %.3fus", w, s.Arg, float64(s.Dur())/1e6)
 	}
-	return tbl
+	return 0, "", ""
 }

@@ -114,9 +114,6 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Enabled() || tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer must look empty and disabled")
 	}
-	if got := tr.Breakdown(); len(got.Rows) != 0 {
-		t.Fatalf("nil tracer breakdown has %d rows", len(got.Rows))
-	}
 }
 
 // TestDisabledTracerZeroAlloc is the ISSUE acceptance check: the
@@ -151,17 +148,44 @@ func BenchmarkEnabledTracerAdd(b *testing.B) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
+// TestWriteFlow: the Fig. 5 listing maps each layer's span to one line,
+// skips spans that are not Fig. 5 steps, sorts by the time each step
+// happens, and a cut listing ends by naming how many lines it left out.
+func TestWriteFlow(t *testing.T) {
 	tr := NewTracer()
-	for i := 1; i <= 10; i++ {
-		tr.Add(Span{Name: "q", Cat: CatQueue, Start: 0, End: int64(i) * 1_000_000})
+	tr.Add(Span{Name: "fir", Cat: CatDispatch, Start: 1e6, End: 1e6, PID: 2, Detail: "hw"})
+	tr.Add(Span{Name: "fir", Cat: CatRoute, Start: 1e6, End: 1e6, PID: 2, Arg: 3})
+	tr.Add(Span{Name: "fir", Cat: CatQueue, Start: 0, End: 1e6, PID: 2})
+	tr.Add(Span{Name: "fir", Cat: CatSMMU, Start: 1e6, End: 2e6, PID: 4, TID: TIDFabric, Arg: 1})
+	tr.Add(Span{Name: "fir", Cat: CatCompute, Start: 2e6, End: 5e6, PID: 2, Detail: "cpu"})
+	tr.Add(Span{Name: "fir", Cat: CatTask, Start: 0, End: 8e6, PID: 2, Detail: "hw"})
+	// Recorded after the task but rendered at its start.
+	tr.Add(Span{Name: "fir", Cat: CatCompute, Start: 2.5e6, End: 7.5e6, PID: 4, TID: TIDFabric, Detail: "hw"})
+	lines := []string{
+		"       1.000us  runtime      worker 1: fir dispatched to hw\n",
+		"       1.000us  unilogic     route fir: caller w1 -> instance fir@3\n",
+		"       2.000us  middleware   doorbell for fir at worker 3 (from w1), SMMU translated\n",
+		"       2.500us  hardware     fir@w3: arguments streamed in, pipeline busy 5.000us\n",
+		"       8.000us  runtime      worker 1: fir completed on hw (recorded to history)\n",
 	}
-	tr.Instant(0, CatSteal, "probe", 0, 0) // instants excluded from quantiles
-	tbl := tr.Breakdown()
-	if len(tbl.Rows) != 1 || tbl.Rows[0][0] != CatQueue {
-		t.Fatalf("breakdown rows = %v", tbl.Rows)
+	for _, c := range []struct {
+		max  int
+		want string
+	}{
+		{0, strings.Join(lines, "")},
+		{5, strings.Join(lines, "")},
+		{2, lines[0] + lines[1] + "... 3 more events not shown\n"},
+	} {
+		var b strings.Builder
+		if err := tr.WriteFlow(&b, c.max); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != c.want {
+			t.Errorf("WriteFlow(max=%d):\n%s\nwant:\n%s", c.max, b.String(), c.want)
+		}
 	}
-	if !strings.Contains(tbl.String(), "queue") {
-		t.Fatalf("rendered breakdown missing category:\n%s", tbl)
+	var b strings.Builder
+	if err := (*Tracer)(nil).WriteFlow(&b, 0); err != nil || b.Len() != 0 {
+		t.Errorf("nil tracer listing = %q, %v; want empty", b.String(), err)
 	}
 }

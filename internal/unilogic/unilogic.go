@@ -55,8 +55,6 @@ func (p Policy) String() string {
 // Domain is the accelerator registry of one PGAS partition.
 type Domain struct {
 	Policy Policy
-	// Flow, when non-nil, records the Fig. 5 layer-interaction trace.
-	Flow *trace.FlowLog
 	// Trace, when non-nil, records routing-decision events.
 	Trace *trace.Tracer
 	// Reg, when non-nil, receives call counters labelled by kernel.
@@ -240,10 +238,6 @@ func (d *Domain) Call(caller int, kernel string, spec accel.CallSpec, done func(
 	d.calls++
 	if in.Worker != caller {
 		d.remoteCalls++
-	}
-	if d.Flow != nil {
-		d.Flow.Add(int64(d.eng.Now()), "unilogic", "route %s: caller w%d -> instance %s (%d pending, policy %s)",
-			kernel, caller, key(in), d.pending[key(in)], d.Policy)
 	}
 	d.Trace.Add(trace.Span{Name: kernel, Cat: trace.CatRoute,
 		Start: int64(d.eng.Now()), End: int64(d.eng.Now()),
