@@ -128,8 +128,8 @@ func checkGolden(t *testing.T, path string, got []byte) {
 }
 
 // TestFlowcap: a -flowtrace listing cut at -flowcap ends with one line
-// naming how many events it left out, and -flowcap 0 prints every event,
-// even past the 10,000 at which an earlier bounded log stopped.
+// naming how many events it left out, and -flowcap 0 prints every event:
+// more than 10,000 for this run, so no retention bound may hide any.
 func TestFlowcap(t *testing.T) {
 	const header = "== layer interaction flow (Fig. 5) ==\n"
 	listing := func(flowcap string) []string {
