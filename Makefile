@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build inline-check test race lint bench bench-smoke bench-golden experiments scale-smoke race-soak fuzz
+.PHONY: check fmt vet build inline-check test race lint bench bench-smoke bench-golden experiments scale-smoke race-soak fuzz reach
 
 check: fmt vet lint build inline-check race experiments bench-smoke bench-golden scale-smoke
 
@@ -85,3 +85,34 @@ fuzz:
 	go test ./internal/core -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 15s
 	go test ./internal/fault -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 15s
 	go test ./internal/noc -run '^$$' -fuzz '^FuzzLinkQueue$$' -fuzztime 15s
+
+# Reach report: which functions do the deliverables never run? Builds
+# ecobench, ecosim, ecohls and the benchmark binary with coverage over
+# every package, then runs every table, the three TestEcosimGolden
+# command lines, ecohls -dse and -emit on every built-in kernel and the
+# four workloads at --seconds 0, and prints each function at 0%.
+# Binaries, coverage data and run outputs go to a throwaway directory,
+# so nothing is written inside the checkout. Not part of check.
+reach:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/cov" "$$tmp/run"; export GOCOVERDIR="$$tmp/cov"; \
+	for c in ecobench ecosim ecohls; do \
+		go build -cover -coverpkg=./... -o "$$tmp/$$c" ./cmd/$$c; \
+	done; \
+	go -C bench build -buildvcs=false -cover -coverpkg=ecoscale/... -o "$$tmp/bench" .; \
+	cd "$$tmp/run"; \
+	"$$tmp/ecobench" > /dev/null; \
+	fir="-nodes 4 -workers 8 -tasks 2000 -kernel fir"; \
+	for args in "$$fir -flowtrace -flowcap 200" \
+		"$$fir -fault-mtbf 200us -fault-region-mtbf 300us -fault-link-mtbf 100us -ckpt-interval 50us -profile -flowtrace -flowcap 200" \
+		"-sharing private -balance polling -skew"; do \
+		"$$tmp/ecosim" $$args -trace t.json -metrics m.prom -metrics-json m.json > /dev/null; \
+	done; \
+	for k in $$("$$tmp/ecohls" -list); do \
+		"$$tmp/ecohls" -kernel $$k -dse > /dev/null; \
+		"$$tmp/ecohls" -kernel $$k -emit > /dev/null; \
+	done; \
+	for w in tables stream dispatch pgas; do \
+		"$$tmp/bench" --workload $$w --seconds 0 > /dev/null 2>&1; \
+	done; \
+	go tool covdata func -i="$$GOCOVERDIR" | awk '$$NF == "0.0%" { print; n++ } END { print n+0, "functions at 0%" }'

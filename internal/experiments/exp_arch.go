@@ -94,10 +94,11 @@ func scenE2() runner.Scenario {
 						// resource per worker.
 						eng := sim.NewEngine(1)
 						finished := 0
+						done := func() { finished++ }
 						for w := 0; w < workers; w++ {
 							cores := sim.NewResource(eng, fmt.Sprintf("c%d", w), 4)
 							for t := 0; t < perWorker; t++ {
-								cores.Use(taskDur, func() { finished++ })
+								cores.Use(taskDur, done)
 							}
 						}
 						end := eng.RunUntilIdle()

@@ -261,6 +261,30 @@ func BenchmarkResourceUseUncontended(b *testing.B) {
 	benchShape(b, func(n int) func() { return resourceUse(n, 8, 4) })
 }
 
+// BenchmarkResourceUseParked is E2's largest point: a cold engine with
+// 256 fresh capacity-4 Resources, each given 1000 Uses at time 0, so all
+// but four per Resource park; it runs them to completion. One op is a
+// whole point.
+func BenchmarkResourceUseParked(b *testing.B) {
+	const resources, uses = 256, 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := sim.NewEngine(1)
+		finished := 0
+		done := func() { finished++ }
+		for w := 0; w < resources; w++ {
+			r := sim.NewResource(e, "cores", 4)
+			for t := 0; t < uses; t++ {
+				r.Use(500, done)
+			}
+		}
+		e.RunUntilIdle()
+		if finished != resources*uses {
+			b.Fatalf("%d of %d Uses completed", finished, resources*uses)
+		}
+	}
+}
+
 func BenchmarkHeapRefScheduleFire(b *testing.B) { benchShape(b, heapRefScheduleFire) }
 
 func BenchmarkHeapRefDeepQueue(b *testing.B) { benchShape(b, heapRefDeepQueue) }

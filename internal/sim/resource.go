@@ -14,12 +14,50 @@ package sim
 // unwinds the stack without perturbing simulated time.
 const maxHandoffDepth = 64
 
-// waiter is one parked callback, fn(arg): an Acquire waiting for a token
-// or a Wait on a Signal.
+// waiter is one parked callback, fn(arg): an Acquire or a Use waiting for
+// a token, or a Wait on a Signal. A parked Use stores its completion as
+// fn(arg) and its wait start complemented, ^start, which is negative
+// because wait starts never are; its hold waits in the Resource's holds
+// ring. This keeps the cell at 32 bytes (TestCallbackLayout).
 type waiter struct {
 	fn    func(any)
 	arg   any
 	start Time
+}
+
+// ring is a FIFO ring buffer: buf[head] is the oldest element and n the
+// occupied count. It starts at 8 cells and doubles when full, so its
+// length is a power of two (indices wrap with a mask, not a division)
+// and, unlike a slice walked with s = s[1:], its backing array stays
+// bounded by the peak depth under steady churn.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (q *ring[T]) push(v T) {
+	if q.n == len(q.buf) {
+		nb := make([]T, max(2*len(q.buf), 8))
+		copy(nb, q.buf[q.head:])
+		copy(nb[len(q.buf)-q.head:], q.buf[:q.head])
+		q.buf, q.head = nb, 0
+	}
+	q.buf[q.at(q.n)] = v
+	q.n++
+}
+
+// at returns the buffer index of the i-th oldest element.
+func (q *ring[T]) at(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+
+// pop removes the oldest element and clears its cell, so a granted
+// callback is not kept alive by the backing array.
+func (q *ring[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head = q.at(1)
+	q.n--
+	return v
 }
 
 // Occupancy is the token bookkeeping of a counting resource: capacity
@@ -123,14 +161,8 @@ type Resource struct {
 	eng  *Engine
 	name string
 
-	// The waiter queue is a ring buffer: wq[whead] is the oldest waiter
-	// and wlen the occupied count. A ring (with popped cells cleared)
-	// keeps the backing array bounded by the peak queue depth; the old
-	// `waiters = waiters[1:]` slice walk grew the backing array without
-	// bound under steady churn because append kept extending the tail.
-	wq    []waiter
-	whead int
-	wlen  int
+	wq    ring[waiter]  // parked Acquires and Uses, oldest first
+	holds ring[holdRun] // the holds of the parked Uses, in queue order
 
 	handoff int // current synchronous hand-off recursion depth
 }
@@ -147,35 +179,38 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 func (r *Resource) Name() string { return r.name }
 
 // QueueLen returns the number of callers waiting for a token.
-func (r *Resource) QueueLen() int { return r.wlen }
+func (r *Resource) QueueLen() int { return r.wq.n }
 
-// waitersCap exposes the ring's backing capacity for the boundedness test.
-func (r *Resource) waitersCap() int { return len(r.wq) }
-
-func (r *Resource) pushWaiter(w waiter) {
-	if r.wlen == len(r.wq) {
-		n := len(r.wq) * 2
-		if n == 0 {
-			n = 8
-		}
-		nw := make([]waiter, n)
-		for i := 0; i < r.wlen; i++ {
-			nw[i] = r.wq[(r.whead+i)%len(r.wq)]
-		}
-		r.wq = nw
-		r.whead = 0
-	}
-	r.wq[(r.whead+r.wlen)%len(r.wq)] = w
-	r.wlen++
-	r.Queued(r.wlen)
+func (r *Resource) park(w waiter) {
+	r.wq.push(w)
+	r.Queued(r.wq.n)
 }
 
-func (r *Resource) popWaiter() waiter {
-	w := r.wq[r.whead]
-	r.wq[r.whead] = waiter{} // drop references so granted callbacks can be collected
-	r.whead = (r.whead + 1) % len(r.wq)
-	r.wlen--
-	return w
+// holdRun is n consecutive parked Uses that each hold a token for hold.
+// Uses parked back to back on one Resource usually share a hold (E2's
+// tasks all take 500 ns), so the run, not the Use, is the ring's cell.
+type holdRun struct {
+	hold Time
+	n    int
+}
+
+func (r *Resource) pushHold(hold Time) {
+	if q := &r.holds; q.n > 0 {
+		if last := &q.buf[q.at(q.n-1)]; last.hold == hold {
+			last.n++
+			return
+		}
+	}
+	r.holds.push(holdRun{hold: hold, n: 1})
+}
+
+func (r *Resource) popHold() Time {
+	run := &r.holds.buf[r.holds.head]
+	hold := run.hold
+	if run.n--; run.n == 0 {
+		r.holds.pop()
+	}
+	return hold
 }
 
 // Acquire requests one token and calls then once the token is granted;
@@ -191,7 +226,7 @@ func (r *Resource) AcquireCall(fn func(any), arg any) {
 		fn(arg)
 		return
 	}
-	r.pushWaiter(waiter{fn: fn, arg: arg, start: r.eng.Now()})
+	r.park(waiter{fn: fn, arg: arg, start: r.eng.now})
 }
 
 // Release returns one token, handing it to the oldest waiter if any.
@@ -199,25 +234,33 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if r.wlen > 0 {
-		w := r.popWaiter()
+	if r.wq.n > 0 {
+		w := r.wq.pop()
+		fn, arg := w.fn, w.arg
+		if w.start < 0 {
+			// A parked Use gets its op now that it holds a token.
+			w.start = ^w.start
+			fn, arg = useGranted, r.eng.newUseOp(r, r.popHold(), fn, arg)
+		}
 		// The token transfers directly; inUse is unchanged.
 		r.Pass(w.start, r.eng.now)
 		if r.handoff >= maxHandoffDepth {
 			// Unwind a deep dependency chain through the event queue.
-			r.eng.AtCall(r.eng.now, w.fn, w.arg)
+			r.eng.AtCall(r.eng.now, fn, arg)
 			return
 		}
 		r.handoff++
-		w.fn(w.arg)
+		fn(arg)
 		r.handoff--
 		return
 	}
 	r.Return(r.eng.now)
 }
 
-// useOp is a pooled acquire→hold→release→notify operation backing
-// UseCall; fn(arg) is the notification. Ops are recycled through a
+// useOp is a pooled hold→release→notify operation backing UseCall;
+// fn(arg) is the notification. An op exists only while its Use holds a
+// token, so at most capacity ops per Resource are live; a parked Use is
+// just its waiter cell and its hold. Ops are recycled through a
 // per-engine free list so the steady state allocates nothing.
 type useOp struct {
 	r    *Resource
@@ -227,13 +270,15 @@ type useOp struct {
 	next *useOp
 }
 
-func (e *Engine) getUseOp() *useOp {
-	if op := e.useFree; op != nil {
-		e.useFree = op.next
-		op.next = nil
-		return op
+func (e *Engine) newUseOp(r *Resource, hold Time, fn func(any), arg any) *useOp {
+	op := e.useFree
+	if op != nil {
+		e.useFree, op.next = op.next, nil
+	} else {
+		op = new(useOp)
 	}
-	return &useOp{}
+	op.r, op.hold, op.fn, op.arg = r, hold, fn, arg
+	return op
 }
 
 func (e *Engine) putUseOp(op *useOp) {
@@ -264,9 +309,13 @@ func (r *Resource) Use(hold Time, done func()) { r.UseCall(hold, RunFunc, done) 
 // UseCall is Use with a static-function completion, fn(arg), where fn
 // may be nil; see AcquireCall.
 func (r *Resource) UseCall(hold Time, fn func(any), arg any) {
-	op := r.eng.getUseOp()
-	op.r, op.hold, op.fn, op.arg = r, hold, fn, arg
-	r.AcquireCall(useGranted, op)
+	if r.Free() {
+		r.Take(r.eng.now)
+		useGranted(r.eng.newUseOp(r, hold, fn, arg))
+		return
+	}
+	r.pushHold(hold)
+	r.park(waiter{fn: fn, arg: arg, start: ^r.eng.now})
 }
 
 // Signal is a one-shot completion event that callbacks can wait on. Waits
