@@ -71,7 +71,7 @@ scale-smoke:
 # Longer -race pass: soak + determinism property sweeps with the race
 # detector on, for CI's slow lane.
 race-soak:
-	go test -race -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke|TestParallelMatchesSequential' -count 2 ./...
+	go test -race -run 'TestSoak|TestKernelDeterminism|TestScaleSmoke|TestParallelMatchesSequential|TestSharedItems' -count 2 ./...
 
 # Short fuzzing pass over the user-input surfaces: kernel source (the HLS
 # parser, synthesizer and interpreter), machine configs and fault plans;

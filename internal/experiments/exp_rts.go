@@ -6,7 +6,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ecoscale"
 	"ecoscale/internal/accel"
@@ -50,22 +49,26 @@ func scenE10() runner.Scenario {
 				return nil, err
 			}
 			// Every policy sees the same 20 calls, so their software
-			// reference runs are computed once, by whichever point gets
-			// there first, and shared read-only.
-			refs := sync.OnceValues(func() ([]e10Ref, error) {
-				kernel := w.Kernel()
-				rng := sim.NewRNG(11)
-				out := make([]e10Ref, len(sizes))
-				for i, n := range sizes {
-					args, bindings := w.Make(n, rng)
-					stats, err := hls.Run(kernel, args)
+			// reference runs are computed once and shared read-only.
+			// Their inputs are drawn in size order from one RNG, and the
+			// points waiting for them run the references together.
+			rng := sim.NewRNG(11)
+			type input struct {
+				args     []hls.Value
+				bindings map[string]float64
+			}
+			refs := runner.Shared(len(sizes),
+				func(i int) (input, error) {
+					args, bindings := w.Make(sizes[i], rng)
+					return input{args, bindings}, nil
+				},
+				func(i int, in input) (e10Ref, error) {
+					stats, err := hls.Run(w.Kernel(), in.args)
 					if err != nil {
-						return nil, fmt.Errorf("E10: size %d: %w", n, err)
+						return e10Ref{}, fmt.Errorf("E10: size %d: %w", sizes[i], err)
 					}
-					out[i] = e10Ref{bindings: bindings, stats: stats}
-				}
-				return out, nil
-			})
+					return e10Ref{bindings: in.bindings, stats: stats}, nil
+				})
 			var pts []runner.Point
 			for _, policy := range []rts.Policy{rts.PolicyCPU{}, rts.PolicyHW{}, rts.PolicyModel{}, rts.PolicyOracle{}} {
 				pts = append(pts, runner.Point{

@@ -25,6 +25,15 @@ kernel scale(global float* A, int N) {
     }
 }`
 
+// staticManagers adapts an eager per-Worker manager slice to
+// unilogic.ManagerProvider.
+type staticManagers []*accel.Manager
+
+func (p staticManagers) NumWorkers() int                  { return len(p) }
+func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
+func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
+func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
+
 type rig struct {
 	eng    *sim.Engine
 	net    *noc.Network
@@ -57,7 +66,7 @@ func newRig(t testing.TB, workers int) *rig {
 		}
 		mgrs = append(mgrs, m)
 	}
-	domain := unilogic.NewDomain(tr, mgrs, eng)
+	domain := unilogic.NewDomainFrom(tr, staticManagers(mgrs), eng)
 	r := &rig{eng: eng, net: net, space: space, meter: meter, domain: domain}
 	for w := 0; w < workers; w++ {
 		r.scheds = append(r.scheds, NewScheduler(w, domain, eng, meter))

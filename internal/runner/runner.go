@@ -52,9 +52,9 @@ func V(value any) Row { return Row{Value: value} }
 // engines and machines it needs. Points of one scenario must not share
 // mutable state (engines, RNGs, accumulators); the runner may execute
 // them concurrently and `go test -race` audits that they do not.
-// Set-up every point needs may be shared read-only: a sync.OnceValues
-// made in Points computes it in whichever point runs first, and each
-// Run, which calls Points afresh, starts cold.
+// Set-up several points need may be shared read-only: a Shared made in
+// Points splits it into items that every point needing them computes
+// together, and each Run, which calls Points afresh, starts cold.
 type Point struct {
 	Label string
 	Run   func(ctx context.Context) (Row, error)

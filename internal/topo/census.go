@@ -4,11 +4,13 @@ import "fmt"
 
 // Census tracks which Workers of a Tree are live — have had per-worker
 // state materialized by some event — and aggregates liveness up the
-// hierarchy. It is the bookkeeping behind the flyweight machine model: a
+// hierarchy. It records the flyweight machine model's laziness: a
 // quiescent subtree (a compute node, chassis, … with zero live workers)
-// stays a single summary record, and aggregate queries answer for it in
-// O(1) without waking anything. A few bytes per worker plus one counter
-// per group keeps the census itself cheap at 100k+ workers.
+// stays a single summary record, and the census says so in O(1). It
+// serves the machine's live-Worker count and the laziness tests;
+// aggregate reads go through the providers' Peek accessors instead. A
+// few bytes per worker plus one counter per group keeps the census
+// itself cheap at 100k+ workers.
 type Census struct {
 	tree *Tree
 	live []bool

@@ -88,24 +88,6 @@ type ManagerProvider interface {
 	FreeRegions(w int) int
 }
 
-// staticManagers adapts an eager per-Worker manager slice to
-// ManagerProvider.
-type staticManagers []*accel.Manager
-
-func (p staticManagers) NumWorkers() int                  { return len(p) }
-func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
-func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
-func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
-
-// NewDomain creates a domain over per-Worker managers; mgrs[i] must be
-// Worker i's manager.
-func NewDomain(t *topo.Tree, mgrs []*accel.Manager, eng *sim.Engine) *Domain {
-	if len(mgrs) != t.NumWorkers() {
-		panic(fmt.Sprintf("unilogic: %d managers for %d workers", len(mgrs), t.NumWorkers()))
-	}
-	return NewDomainFrom(t, staticManagers(mgrs), eng)
-}
-
 // NewDomainFrom creates a domain over a manager provider, which may
 // materialize managers lazily.
 func NewDomainFrom(t *topo.Tree, prov ManagerProvider, eng *sim.Engine) *Domain {

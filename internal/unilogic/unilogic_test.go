@@ -22,6 +22,21 @@ kernel scale(global float* A, int N) {
     }
 }`
 
+// staticManagers adapts an eager per-Worker manager slice to
+// ManagerProvider.
+type staticManagers []*accel.Manager
+
+func (p staticManagers) NumWorkers() int                  { return len(p) }
+func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
+func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
+func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
+
+// newDomain creates a domain over eagerly built managers; mgrs[i] must
+// be Worker i's manager.
+func newDomain(t *topo.Tree, mgrs []*accel.Manager, eng *sim.Engine) *Domain {
+	return NewDomainFrom(t, staticManagers(mgrs), eng)
+}
+
 type rig struct {
 	eng    *sim.Engine
 	space  *unimem.Space
@@ -40,7 +55,7 @@ func newRig(t testing.TB, workers int) *rig {
 		fab := fabric.New(eng, fabric.DefaultConfig(), meter)
 		mgrs = append(mgrs, accel.NewManager(w, fab, space, smmu.New(smmu.DefaultConfig()), meter))
 	}
-	return &rig{eng: eng, space: space, domain: NewDomain(tr, mgrs, eng)}
+	return &rig{eng: eng, space: space, domain: newDomain(tr, mgrs, eng)}
 }
 
 func deploy(t testing.TB, r *rig, w int) *accel.Instance {
@@ -158,7 +173,7 @@ func TestNearestPreferredWhenIdle(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		mgrs = append(mgrs, accel.NewManager(w, fabric.New(eng, fabric.DefaultConfig(), meter), space, smmu.New(smmu.DefaultConfig()), meter))
 	}
-	d := NewDomain(tr, mgrs, eng)
+	d := newDomain(tr, mgrs, eng)
 	r := &rig{eng: eng, space: space, domain: d}
 	inNear := deploy(t, r, 1) // same CN as caller 0
 	deploy(t, r, 3)           // remote CN
@@ -224,7 +239,7 @@ func TestManagerMismatchPanics(t *testing.T) {
 			t.Error("manager count mismatch did not panic")
 		}
 	}()
-	NewDomain(tr, nil, eng)
+	newDomain(tr, nil, eng)
 }
 
 func TestPolicyString(t *testing.T) {
@@ -244,7 +259,7 @@ func TestSharedCNScopesToComputeNode(t *testing.T) {
 		mgrs = append(mgrs, accel.NewManager(w, fabric.New(eng, fabric.DefaultConfig(), meter), space,
 			smmu.New(smmu.DefaultConfig()), meter))
 	}
-	d := NewDomain(tr, mgrs, eng)
+	d := newDomain(tr, mgrs, eng)
 	d.Policy = SharedCN
 	r := &rig{eng: eng, space: space, domain: d}
 	deploy(t, r, 0) // instance in CN0
