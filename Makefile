@@ -88,9 +88,11 @@ fuzz:
 
 # Reach report: which functions do the deliverables never run? Builds
 # ecobench, ecosim, ecohls and the benchmark binary with coverage over
-# every package, then runs every table, the three TestEcosimGolden
-# command lines, ecohls -dse and -emit on every built-in kernel and the
-# four workloads at --seconds 0, and prints each function at 0%.
+# every package, then runs every table (and E1 again with -csv), the
+# three TestEcosimGolden command lines, one ecosim run with -diagram
+# -sharing shared-cn, ecohls -dse and -emit on every built-in kernel,
+# the four workloads at --seconds 0 and one traced pgas run (the
+# per-layer probes), and prints each function at 0%.
 # Binaries, coverage data and run outputs go to a throwaway directory,
 # so nothing is written inside the checkout. Not part of check.
 reach:
@@ -102,12 +104,14 @@ reach:
 	go -C bench build -buildvcs=false -cover -coverpkg=ecoscale/... -o "$$tmp/bench" .; \
 	cd "$$tmp/run"; \
 	"$$tmp/ecobench" > /dev/null; \
+	"$$tmp/ecobench" -run E1 -csv > /dev/null; \
 	fir="-nodes 4 -workers 8 -tasks 2000 -kernel fir"; \
 	for args in "$$fir -flowtrace -flowcap 200" \
 		"$$fir -fault-mtbf 200us -fault-region-mtbf 300us -fault-link-mtbf 100us -ckpt-interval 50us -profile -flowtrace -flowcap 200" \
 		"-sharing private -balance polling -skew"; do \
 		"$$tmp/ecosim" $$args -trace t.json -metrics m.prom -metrics-json m.json > /dev/null; \
 	done; \
+	"$$tmp/ecosim" -diagram -sharing shared-cn > /dev/null; \
 	for k in $$("$$tmp/ecohls" -list); do \
 		"$$tmp/ecohls" -kernel $$k -dse > /dev/null; \
 		"$$tmp/ecohls" -kernel $$k -emit > /dev/null; \
@@ -115,4 +119,5 @@ reach:
 	for w in tables stream dispatch pgas; do \
 		"$$tmp/bench" --workload $$w --seconds 0 > /dev/null 2>&1; \
 	done; \
+	"$$tmp/bench" --workload pgas --seconds 0 --trace 1 --trace-dir "$$tmp/trace" > /dev/null 2>&1; \
 	go tool covdata func -i="$$GOCOVERDIR" | awk '$$NF == "0.0%" { print; n++ } END { print n+0, "functions at 0%" }'

@@ -1,10 +1,10 @@
 // Package accel is the accelerator middleware of the ECOSCALE Worker
-// (Fig. 4 and §4.3): it manages HLS-produced modules on the Worker's
-// reconfigurable fabric (load, evict, migrate via partial
-// reconfiguration), and implements the Virtualization block — "a
+// (Fig. 4 and §4.3): it loads HLS-produced modules onto the Worker's
+// reconfigurable fabric by partial reconfiguration, defragmenting when
+// space is short, and implements the Virtualization block — "a
 // mechanism to execute multiple function calls (from different virtual
-// machines) in a fully pipelined fashion" for fine-grain sharing, plus
-// coarse-grain time-sharing of fabric regions through reconfiguration.
+// machines) in a fully pipelined fashion" for fine-grain sharing. A
+// loaded module stays resident until its region or Worker fails.
 package accel
 
 import (
@@ -49,13 +49,11 @@ type Instance struct {
 	Worker    int
 	StreamID  int
 
-	mgr      *Manager
-	pipe     *sim.Resource // issue slot: serializes occupancy, not latency
-	busy     int           // calls in flight (issue+drain)
-	lastUsed sim.Time
-	calls    uint64
-	loaded   bool
-	failed   bool // region died under the module; calls complete with ErrInstanceLost
+	mgr    *Manager
+	pipe   *sim.Resource // issue slot: serializes occupancy, not latency
+	calls  uint64
+	loaded bool
+	failed bool // region died under the module; calls complete with ErrInstanceLost
 }
 
 // Calls returns how many invocations this instance has completed.
@@ -67,9 +65,6 @@ func (in *Instance) Calls() uint64 { return in.calls }
 func (in *Instance) PipeUtilization(now sim.Time) float64 {
 	return in.pipe.Utilization(now)
 }
-
-// Busy reports whether any call is in flight.
-func (in *Instance) Busy() bool { return in.busy > 0 }
 
 // Manager owns one Worker's fabric and the accelerator instances on it.
 // It is the per-Worker half of the middleware; cross-Worker sharing is
@@ -94,9 +89,9 @@ type Manager struct {
 	// Reg, when non-nil, receives the lat.* latency histograms.
 	Reg *trace.Registry
 	// OnUnload, when non-nil, observes every instance leaving the fabric
-	// (LRU eviction, explicit Unload, migration, region failure) so
-	// cross-Worker routing tables can drop stale entries. Wired by the
-	// fault layer; nil on a healthy machine.
+	// through a region or Worker failure, so cross-Worker routing tables
+	// can drop stale entries. Wired by the fault layer; nil on a healthy
+	// machine.
 	OnUnload func(*Instance)
 
 	eng       *sim.Engine
@@ -129,10 +124,9 @@ func (m *Manager) Lookup(name string) *Instance {
 }
 
 // Ensure loads impl onto this Worker's fabric if not already present,
-// evicting idle instances (least recently used first) and defragmenting
-// when space is short — the middleware virtualization features of §4.3.
-// done receives the ready instance or an error when the module cannot
-// fit even in an empty fabric.
+// defragmenting when space is short (§4.3). Resident modules stay
+// loaded: done receives the ready instance, or a *fabric.ErrNoSpace
+// when the module does not fit beside them even after defragmentation.
 func (m *Manager) Ensure(impl *hls.Impl, done func(*Instance, error)) {
 	mod := impl.Module()
 	if in, ok := m.instances[mod.Name]; ok && in.loaded {
@@ -153,63 +147,18 @@ func (m *Manager) Ensure(impl *hls.Impl, done func(*Instance, error)) {
 	m.instances[mod.Name] = in
 	m.Fab.Load(p, fabric.LoadOptions{Compressed: m.Compressed}, func() {
 		in.loaded = true
-		in.lastUsed = m.eng.Now()
 		done(in, nil)
 	})
 }
 
-// place finds room for a module: direct placement, then eviction of idle
-// instances (LRU), then defragmentation, then failure.
+// place finds room for a module: direct placement, then
+// defragmentation, then failure.
 func (m *Manager) place(mod fabric.Module) (*fabric.Placement, error) {
 	if p, err := m.Fab.Place(mod); err == nil {
 		return p, nil
 	}
-	for {
-		victim := m.idleLRU()
-		if victim == nil {
-			break
-		}
-		m.unload(victim)
-		if p, err := m.Fab.Place(mod); err == nil {
-			return p, nil
-		}
-	}
 	m.Fab.Defragment()
 	return m.Fab.Place(mod)
-}
-
-func (m *Manager) idleLRU() *Instance {
-	var victim *Instance
-	for _, in := range m.instances {
-		if !in.loaded || in.Busy() {
-			continue
-		}
-		if victim == nil || in.lastUsed < victim.lastUsed ||
-			(in.lastUsed == victim.lastUsed && in.Placement.Module.Name < victim.Placement.Module.Name) {
-			victim = in
-		}
-	}
-	return victim
-}
-
-func (m *Manager) unload(in *Instance) {
-	m.Fab.Remove(in.Placement)
-	in.loaded = false
-	delete(m.instances, in.Placement.Module.Name)
-	if m.OnUnload != nil {
-		m.OnUnload(in)
-	}
-}
-
-// Unload evicts a named module; it reports whether it was present and
-// idle (busy instances are never evicted).
-func (m *Manager) Unload(name string) bool {
-	in, ok := m.instances[name]
-	if !ok || in.Busy() {
-		return false
-	}
-	m.unload(in)
-	return true
 }
 
 // occupancyAndDrain splits a call's cycle count into pipeline-occupancy
@@ -244,17 +193,13 @@ func (in *Instance) Invoke(caller int, spec CallSpec, done func(error)) {
 		return
 	}
 	m := in.mgr
-	in.busy++
-	in.lastUsed = m.eng.Now()
 	finish := func(err error) {
 		if in.failed && err == nil {
 			// The region died mid-call: whatever the timing model finished
 			// computing is fiction, and the caller must retry elsewhere.
 			err = ErrInstanceLost
 		}
-		in.busy--
 		in.calls++
-		in.lastUsed = m.eng.Now()
 		if done != nil {
 			done(err)
 		}
@@ -421,23 +366,6 @@ func (m *Manager) chargeEnergy(spec CallSpec) {
 	m.Meter.Charge("fpga", energy.Joules(ops)*m.Meter.Model.FPGAOp)
 }
 
-// Migrate moves a loaded module to another Worker's manager: the source
-// placement is released and the module is reloaded at the destination
-// (accelerator migration, §4.3). done receives the new instance.
-func (m *Manager) Migrate(name string, to *Manager, done func(*Instance, error)) {
-	in, ok := m.instances[name]
-	if !ok || !in.loaded {
-		done(nil, fmt.Errorf("accel: no loaded module %q to migrate", name))
-		return
-	}
-	if in.Busy() {
-		done(nil, fmt.Errorf("accel: module %q busy; drain before migration", name))
-		return
-	}
-	m.unload(in)
-	to.Ensure(in.Impl, done)
-}
-
 // Chain invokes a sequence of instances as a processing pipeline over
 // the same data (§4.3: "chaining together different accelerator modules
 // for building longer complex processing pipelines ... will substantially
@@ -472,11 +400,9 @@ func Chain(caller int, stages []*Instance, data Span, bindings map[string]float6
 				done(err)
 				return
 			}
-			st.busy++
 			st.pipe.Use(occ, func() {
 				st.mgr.eng.After(drain, func() {
 					st.mgr.chargeEnergy(CallSpec{})
-					st.busy--
 					st.calls++
 					// On-chip hand-off between chained stages: a single
 					// line-sized token, not the whole buffer.

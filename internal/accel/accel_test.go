@@ -2,6 +2,7 @@ package accel
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestInvokeTimedAndCounted(t *testing.T) {
 	if end == 0 {
 		t.Fatal("invoke took no time")
 	}
-	if in.Calls() != 1 || in.Busy() {
+	if in.Calls() != 1 {
 		t.Error("call accounting wrong")
 	}
 	if r.meter.Category("fpga") <= 0 {
@@ -198,91 +199,48 @@ func TestVirtualizationPipelines(t *testing.T) {
 	}
 }
 
-func TestEvictionLRU(t *testing.T) {
+func TestEnsureFullFabricFails(t *testing.T) {
 	r := newRig(t, 1)
 	// Shrink the fabric to 2x2 regions so multi-region modules collide.
 	small := fabric.DefaultConfig()
 	small.Rows, small.Cols = 2, 2
 	r.mgrs[0] = NewManager(0, fabric.New(r.eng, small, r.meter), r.space, smmu.New(smmu.DefaultConfig()), r.meter)
+	m := r.mgrs[0]
 	big := hls.Directives{Unroll: 16, MemPorts: 4, Share: 1, Pipeline: true}
-	var names []string
+	var resident []string
 	for i := 0; i < 5; i++ {
 		src := strings.Replace(srcScale, "kernel scale", "kernel scale"+string(rune('a'+i)), 1)
 		im := mustImpl(t, src, big)
-		names = append(names, im.Module().Name)
-		ensure(t, r, 0, im)
-	}
-	m := r.mgrs[0]
-	if m.Lookup(names[4]) == nil {
-		t.Error("newest module missing")
-	}
-	evicted := 0
-	for _, n := range names[:4] {
-		if m.Lookup(n) == nil {
-			evicted++
+		failures := m.Fab.PlacementFailures()
+		var ensureErr error
+		m.Ensure(im, func(_ *Instance, err error) { ensureErr = err })
+		r.eng.RunUntilIdle()
+		if ensureErr == nil {
+			resident = append(resident, im.Module().Name)
+			continue
 		}
-	}
-	if evicted == 0 {
-		t.Error("no eviction happened despite full fabric")
-	}
-	if m.Lookup(names[0]) != nil && evicted < 4 {
-		// LRU: the oldest unused module should be the first to go.
-		t.Error("LRU eviction kept the oldest module")
-	}
-}
-
-func TestUnload(t *testing.T) {
-	r := newRig(t, 1)
-	im := mustImpl(t, srcScale, hls.DefaultDirectives())
-	in := ensure(t, r, 0, im)
-	name := in.Placement.Module.Name
-	if !r.mgrs[0].Unload(name) {
-		t.Error("Unload of idle module failed")
-	}
-	if r.mgrs[0].Lookup(name) != nil {
-		t.Error("module still present after Unload")
-	}
-	if r.mgrs[0].Unload(name) {
-		t.Error("second Unload succeeded")
-	}
-}
-
-func TestMigrate(t *testing.T) {
-	r := newRig(t, 2)
-	im := mustImpl(t, srcScale, hls.DefaultDirectives())
-	in := ensure(t, r, 0, im)
-	name := in.Placement.Module.Name
-	var moved *Instance
-	r.mgrs[0].Migrate(name, r.mgrs[1], func(m *Instance, err error) {
-		if err != nil {
-			t.Fatal(err)
+		var nos *fabric.ErrNoSpace
+		if !errors.As(ensureErr, &nos) {
+			t.Fatalf("Ensure on a full fabric: %v, want *fabric.ErrNoSpace", ensureErr)
 		}
-		moved = m
-	})
-	r.eng.RunUntilIdle()
-	if moved == nil || moved.Worker != 1 {
-		t.Fatal("migration failed")
-	}
-	if r.mgrs[0].Lookup(name) != nil {
-		t.Error("module still at source after migration")
-	}
-	if r.mgrs[1].Lookup(name) == nil {
-		t.Error("module missing at destination")
-	}
-}
-
-func TestMigrateMissing(t *testing.T) {
-	r := newRig(t, 2)
-	called := false
-	r.mgrs[0].Migrate("nope", r.mgrs[1], func(_ *Instance, err error) {
-		called = true
-		if err == nil {
-			t.Error("migrating a missing module should fail")
+		// One failed Place before the defragmentation, one after it.
+		if got := m.Fab.PlacementFailures() - failures; got != 2 {
+			t.Errorf("%d failed placements, want 2 (place, defragment, place)", got)
 		}
-	})
-	if !called {
-		t.Error("callback not invoked")
+		if len(resident) == 0 {
+			t.Fatal("no module fit in the empty fabric")
+		}
+		for _, n := range resident {
+			if m.Lookup(n) == nil {
+				t.Errorf("resident module %s unloaded by a failed Ensure", n)
+			}
+		}
+		if m.Instances() != len(resident) {
+			t.Errorf("%d instances, want %d", m.Instances(), len(resident))
+		}
+		return
 	}
+	t.Fatal("five multi-region modules fit in a 2x2 fabric")
 }
 
 func TestLocalCallerFasterThanRemote(t *testing.T) {

@@ -75,7 +75,7 @@ func (m *Machine) armFaults(ckptCfg fault.CheckpointConfig) *faultState {
 }
 
 // domainUnload is the Manager.OnUnload hook: any instance leaving a
-// fabric (eviction, migration, failure) leaves the routing table too.
+// fabric (a region or Worker failure) leaves the routing table too.
 func (m *Machine) domainUnload(in *accel.Instance) {
 	m.Domain.Deregister(in)
 }

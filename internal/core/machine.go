@@ -150,10 +150,10 @@ type Machine struct {
 	Prof *profile.Profiler
 
 	// Flyweight state: shells[cn] is nil while Compute Node cn is
-	// quiescent; census aggregates liveness up the tree.
+	// quiescent, and a Worker is live once its scheduler or manager
+	// slot in its node's shell is set.
 	shells    []*nodeShell
-	wpc       int // workers per compute node (FanOut[0])
-	census    *topo.Census
+	wpc       int        // workers per compute node (FanOut[0])
 	smmuTmpl  *smmu.SMMU // shared identity-map page tables (COW)
 	defPolicy rts.Policy // applied to schedulers at materialization
 	// faults is the armed-faults extension (see fault.go); nil until
@@ -180,7 +180,6 @@ func New(cfg Config) *Machine {
 	workers := m.Tree.NumWorkers()
 	m.wpc = cfg.FanOut[0]
 	m.shells = make([]*nodeShell, m.Tree.NumComputeNodes())
-	m.census = topo.NewCensus(m.Tree)
 	if cfg.Profile {
 		cfg.Trace = true
 		m.Cfg.Trace = true
@@ -274,7 +273,6 @@ func (m *Machine) Sched(w int) *rts.Scheduler {
 		}
 		m.Cluster.Attach(s)
 		sh.scheds[i] = s
-		m.census.MarkLive(w)
 	}
 	return sh.scheds[i]
 }
@@ -306,7 +304,6 @@ func (m *Machine) Manager(w int) *accel.Manager {
 			mgr.OnUnload = m.domainUnload
 		}
 		sh.mgrs[i] = mgr
-		m.census.MarkLive(w)
 	}
 	return sh.mgrs[i]
 }
@@ -371,11 +368,32 @@ func (m *Machine) SetPolicy(p rts.Policy) {
 }
 
 // LiveWorkers returns how many Workers have materialized state.
-func (m *Machine) LiveWorkers() int { return m.census.LiveWorkers() }
+func (m *Machine) LiveWorkers() int {
+	n := 0
+	for _, sh := range m.shells {
+		if sh == nil {
+			continue
+		}
+		for i := range sh.scheds {
+			if sh.scheds[i] != nil || sh.mgrs[i] != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
 
-// Census exposes the liveness census for hierarchy-aware tooling: which
-// Compute Nodes are still quiescent summary records.
-func (m *Machine) Census() *topo.Census { return m.census }
+// QuiescentNodes returns how many Compute Nodes no event has touched:
+// they are still summary records with no per-Worker state.
+func (m *Machine) QuiescentNodes() int {
+	n := 0
+	for _, sh := range m.shells {
+		if sh == nil {
+			n++
+		}
+	}
+	return n
+}
 
 // machineScheds adapts the machine's lazy schedulers to
 // rts.SchedulerProvider.
@@ -408,14 +426,6 @@ func (m *Machine) Workers() int { return m.Tree.NumWorkers() }
 func (m *Machine) Run() sim.Time {
 	m.Prof.Arm()
 	t := m.Eng.RunUntilIdle()
-	m.Meter.Settle()
-	return t
-}
-
-// RunFor advances simulated time by at most d.
-func (m *Machine) RunFor(d sim.Time) sim.Time {
-	m.Prof.Arm()
-	t := m.Eng.Run(m.Eng.Now() + d)
 	m.Meter.Settle()
 	return t
 }

@@ -133,9 +133,8 @@ func TestMachineLazyMaterialization(t *testing.T) {
 	if m.LiveWorkers() != 0 {
 		t.Fatalf("construction materialized %d workers", m.LiveWorkers())
 	}
-	c := m.Census()
-	for cn := 0; cn < m.Tree.NumComputeNodes(); cn++ {
-		if !c.Quiescent(1, cn) {
+	for cn, sh := range m.shells {
+		if sh != nil {
 			t.Fatalf("compute node %d live before any event", cn)
 		}
 	}
@@ -149,10 +148,10 @@ func TestMachineLazyMaterialization(t *testing.T) {
 	if m.LiveWorkers() != 1 {
 		t.Fatalf("%d live workers after touching one", m.LiveWorkers())
 	}
-	if c.Quiescent(1, m.Tree.ComputeNodeOf(5)) {
+	if m.shells[m.Tree.ComputeNodeOf(5)] == nil {
 		t.Error("worker 5's compute node still reads quiescent")
 	}
-	if !c.Quiescent(1, 0) || !c.Quiescent(1, 3) {
+	if m.shells[0] != nil || m.shells[3] != nil || m.QuiescentNodes() != 3 {
 		t.Error("untouched compute nodes lost quiescence")
 	}
 	live := m.LiveWorkers()
@@ -216,18 +215,6 @@ func TestDeployKernelAndReport(t *testing.T) {
 	r := m.Report()
 	if !strings.Contains(r, "2 workers") || !strings.Contains(r, "reconfig") {
 		t.Errorf("report missing content:\n%s", r)
-	}
-}
-
-func TestRunForAdvancesClock(t *testing.T) {
-	m := New(DefaultConfig(2, 1))
-	m.Eng.At(10*sim.Microsecond, func() {})
-	end := m.RunFor(5 * sim.Microsecond)
-	if end != 5*sim.Microsecond {
-		t.Errorf("RunFor stopped at %v", end)
-	}
-	if m.Eng.Pending() != 1 {
-		t.Error("future event consumed early")
 	}
 }
 

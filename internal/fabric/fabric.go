@@ -387,9 +387,9 @@ func (f *Fabric) PlacementFailures() uint64 { return f.failures }
 // Failed regions are never re-placement targets (the placement search
 // skips them like occupied cells), and a module that no longer fits
 // anywhere keeps its old rectangle — which cannot overlap a failed region
-// since FailRegion evicts overlapping placements eagerly. Callers that
-// care about timing must reload moved modules (the accelerator layer
-// models that as module migration).
+// since FailRegion evicts overlapping placements eagerly. Moving a
+// module costs no reconfiguration time here; the accelerator layer
+// charges none either.
 func (f *Fabric) Defragment() (moved int) {
 	ps := f.Placements()
 	sort.Slice(ps, func(i, j int) bool {

@@ -1,9 +1,9 @@
 // Package ocl is the ECOSCALE programming environment of §4.2/§4.4: an
 // OpenCL-flavoured host API extended with the paper's three runtime
-// extensions — (1) PGAS data scoping (buffers are placed in, migrated
-// between, and cached at specific Workers' NUMA domains), (2) scalable
-// data movement through direct loads/stores to remote shared memory
-// rather than explicit device copies, and (3) functions that "can be
+// extensions — (1) PGAS data scoping (buffers are placed in, and cached
+// at, specific Workers' NUMA domains), (2) scalable data movement
+// through direct loads/stores to remote shared memory rather than
+// explicit device copies, and (3) functions that "can be
 // synthesized in hardware and can be accelerated, on-demand, at runtime"
 // — an enqueued kernel is dispatched by the runtime scheduler to a CPU
 // or a reconfigurable block according to its policy.
@@ -40,9 +40,6 @@ type Context struct {
 	p *Platform
 }
 
-// Machine returns the underlying machine.
-func (c *Context) Machine() *core.Machine { return c.p.M }
-
 // Placement selects where a buffer's pages live.
 type Placement int
 
@@ -61,9 +58,6 @@ type Buffer struct {
 	addr  uint64
 	Elems int
 }
-
-// Addr returns the buffer's base global address.
-func (b *Buffer) Addr() uint64 { return b.addr }
 
 // Bytes returns the buffer size in bytes.
 func (b *Buffer) Bytes() int { return b.Elems * 8 }
@@ -100,8 +94,7 @@ func (c *Context) CreateBuffer(elems int, place Placement, worker int) *Buffer {
 	}
 }
 
-// Poke writes host data into the buffer with no simulated cost (test
-// setup); Write is the timed path.
+// Poke writes host data into the buffer with no simulated cost.
 func (b *Buffer) Poke(host []float64) {
 	if len(host) > b.Elems {
 		panic("ocl: host slice larger than buffer")
@@ -123,53 +116,10 @@ func (b *Buffer) Peek() []float64 {
 	return out
 }
 
-// Write streams host data into the buffer from the given Worker,
-// returning an event that fires at completion.
-func (b *Buffer) Write(fromWorker int, host []float64, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		// The data plane is the Poke; the stream times the stores.
-		b.Poke(host)
-		b.ctx.p.M.Space.StreamWriteback(fromWorker, b.addr, len(host)*8, 8, func() { ev.complete(nil) })
-	})
-	return ev
-}
-
-// Read streams the buffer to the given Worker; the event's Data holds
-// the values.
-func (b *Buffer) Read(toWorker int, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		b.ctx.p.M.Space.StreamFetch(toWorker, b.addr, b.Bytes(), 8, func() {
-			ev.Data = b.Peek()
-			ev.complete(nil)
-		})
-	})
-	return ev
-}
-
-// Migrate moves the buffer's pages to a Worker's DRAM (the implicit
-// data migration of §4.4), page by page.
-func (b *Buffer) Migrate(toWorker int, deps []*Event) *Event {
-	ev := newEvent(b.ctx.p.M.Eng)
-	after(deps, func() {
-		space := b.ctx.p.M.Space
-		pageB := uint64(space.PageBytes())
-		pages := (uint64(b.Bytes()) + pageB - 1) / pageB
-		wg := sim.NewWaitGroup(b.ctx.p.M.Eng, int(pages))
-		for p := uint64(0); p < pages; p++ {
-			space.MigratePage(b.addr+p*pageB, toWorker, wg.DoneOne)
-		}
-		wg.Wait(func() { ev.complete(nil) })
-	})
-	return ev
-}
-
 // Event is an OpenCL-style completion handle.
 type Event struct {
-	sig  *sim.Signal
-	Err  error
-	Data []float64
+	sig *sim.Signal
+	Err error
 }
 
 func newEvent(eng *sim.Engine) *Event { return &Event{sig: sim.NewSignal(eng)} }

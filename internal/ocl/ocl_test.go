@@ -31,7 +31,7 @@ func TestBufferPokePeek(t *testing.T) {
 			t.Fatalf("elem %d = %v, want %v", i, got[i], host[i])
 		}
 	}
-	if ctx.Machine().Space.OwnerOf(b.Addr()) != 1 {
+	if ctx.p.M.Space.OwnerOf(b.addr) != 1 {
 		t.Error("OnWorker placement ignored")
 	}
 }
@@ -39,49 +39,15 @@ func TestBufferPokePeek(t *testing.T) {
 func TestBufferInterleaved(t *testing.T) {
 	ctx := newCtx(t, 4, 1)
 	// 4 pages worth of elements.
-	elems := 4 * ctx.Machine().Space.PageBytes() / 8
+	elems := 4 * ctx.p.M.Space.PageBytes() / 8
 	b := ctx.CreateBuffer(elems, Interleaved, 0)
 	owners := map[int]bool{}
-	pageB := uint64(ctx.Machine().Space.PageBytes())
+	pageB := uint64(ctx.p.M.Space.PageBytes())
 	for p := uint64(0); p < 4; p++ {
-		owners[ctx.Machine().Space.OwnerOf(b.Addr()+p*pageB)] = true
+		owners[ctx.p.M.Space.OwnerOf(b.addr+p*pageB)] = true
 	}
 	if len(owners) != 4 {
 		t.Errorf("interleaving used %d owners, want 4", len(owners))
-	}
-}
-
-func TestBufferWriteReadTimed(t *testing.T) {
-	ctx := newCtx(t, 2, 1)
-	b := ctx.CreateBuffer(64, OnWorker, 1)
-	host := make([]float64, 64)
-	for i := range host {
-		host[i] = float64(i)
-	}
-	wev := b.Write(0, host, nil)
-	rev := b.Read(0, []*Event{wev})
-	if err := ctx.WaitAll(wev, rev); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Machine().Eng.Now() == 0 {
-		t.Error("timed write/read took no simulated time")
-	}
-	for i := range host {
-		if rev.Data[i] != host[i] {
-			t.Fatalf("readback elem %d = %v", i, rev.Data[i])
-		}
-	}
-}
-
-func TestBufferMigrate(t *testing.T) {
-	ctx := newCtx(t, 4, 1)
-	b := ctx.CreateBuffer(1024, OnWorker, 0)
-	ev := b.Migrate(3, nil)
-	if err := ctx.WaitAll(ev); err != nil {
-		t.Fatal(err)
-	}
-	if got := ctx.Machine().Space.OwnerOf(b.Addr()); got != 3 {
-		t.Errorf("owner after migrate = %d, want 3", got)
 	}
 }
 
@@ -178,7 +144,7 @@ func TestRuntimeDispatchesToHardware(t *testing.T) {
 	if err := prog.DeployTo("vecadd", 0); err != nil {
 		t.Fatal(err)
 	}
-	ctx.Machine().SetPolicy(rts.PolicyHW{})
+	ctx.p.M.SetPolicy(rts.PolicyHW{})
 	n := 512
 	a := ctx.CreateBuffer(n, OnWorker, 0)
 	b := ctx.CreateBuffer(n, OnWorker, 0)
@@ -194,7 +160,7 @@ func TestRuntimeDispatchesToHardware(t *testing.T) {
 	if err := ctx.WaitAll(ev); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Machine().Sched(0).Executed(rts.DeviceHW) != 1 {
+	if ctx.p.M.Sched(0).Executed(rts.DeviceHW) != 1 {
 		t.Error("task did not run in hardware")
 	}
 	for i, v := range c.Peek() {

@@ -39,12 +39,6 @@ type Daemon struct {
 	running bool
 }
 
-// NewDaemon creates a reconfiguration daemon over the cluster's
-// schedulers.
-func NewDaemon(domain *unilogic.Domain, scheds []*Scheduler, eng *sim.Engine) *Daemon {
-	return NewDaemonFrom(domain, staticScheds(scheds), eng)
-}
-
 // NewDaemonFrom creates a reconfiguration daemon over a scheduler
 // provider, which may materialize schedulers lazily.
 func NewDaemonFrom(domain *unilogic.Domain, prov SchedulerProvider, eng *sim.Engine) *Daemon {

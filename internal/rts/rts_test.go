@@ -34,6 +34,13 @@ func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
 func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
 func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
 
+// staticScheds adapts an eager scheduler slice to SchedulerProvider.
+type staticScheds []*Scheduler
+
+func (p staticScheds) NumWorkers() int            { return len(p) }
+func (p staticScheds) Sched(w int) *Scheduler     { return p[w] }
+func (p staticScheds) PeekSched(w int) *Scheduler { return p[w] }
+
 type rig struct {
 	eng    *sim.Engine
 	net    *noc.Network

@@ -59,13 +59,6 @@ type SchedulerProvider interface {
 	PeekSched(w int) *Scheduler
 }
 
-// staticScheds adapts an eager scheduler slice to SchedulerProvider.
-type staticScheds []*Scheduler
-
-func (p staticScheds) NumWorkers() int            { return len(p) }
-func (p staticScheds) Sched(w int) *Scheduler     { return p[w] }
-func (p staticScheds) PeekSched(w int) *Scheduler { return p[w] }
-
 // Cluster couples the per-Worker schedulers with a stealing strategy.
 type Cluster struct {
 	Kind BalanceKind
@@ -88,15 +81,6 @@ type Cluster struct {
 	StealMsgs  uint64 // monitoring + transfer messages sent
 	Steals     uint64 // successful task migrations
 	FailProbes uint64 // probes that found nothing to steal
-}
-
-// NewCluster wires schedulers into a balancing cluster.
-func NewCluster(kind BalanceKind, scheds []*Scheduler, net *noc.Network) *Cluster {
-	c := NewClusterFrom(kind, staticScheds(scheds), net)
-	for _, s := range scheds {
-		c.Attach(s)
-	}
-	return c
 }
 
 // NewClusterFrom wires a scheduler provider into a balancing cluster.

@@ -13,7 +13,11 @@ func newCluster(t testing.TB, kind BalanceKind, workers int) (*rig, *Cluster) {
 		s.Policy = PolicyCPU{}
 		s.Cores = 1
 	}
-	return r, NewCluster(kind, r.scheds, r.net)
+	c := NewClusterFrom(kind, staticScheds(r.scheds), r.net)
+	for _, s := range r.scheds {
+		c.Attach(s)
+	}
+	return r, c
 }
 
 func TestNoBalanceKeepsImbalance(t *testing.T) {
@@ -130,7 +134,7 @@ func TestDaemonDeploysHotKernel(t *testing.T) {
 	for _, s := range r.scheds {
 		s.Policy = PolicyCPU{}
 	}
-	d := NewDaemon(r.domain, r.scheds, r.eng)
+	d := NewDaemonFrom(r.domain, staticScheds(r.scheds), r.eng)
 	d.Register(r.impl)
 	// Build history: scale is hot.
 	for i := 0; i < 6; i++ {
@@ -156,7 +160,7 @@ func TestDaemonDeploysHotKernel(t *testing.T) {
 
 func TestDaemonIgnoresColdKernels(t *testing.T) {
 	r := newRig(t, 2)
-	d := NewDaemon(r.domain, r.scheds, r.eng)
+	d := NewDaemonFrom(r.domain, staticScheds(r.scheds), r.eng)
 	d.Register(r.impl)
 	if d.Tick() != 0 {
 		t.Error("daemon deployed a kernel with no history")
@@ -168,7 +172,7 @@ func TestDaemonPeriodicStartStop(t *testing.T) {
 	for _, s := range r.scheds {
 		s.Policy = PolicyCPU{}
 	}
-	d := NewDaemon(r.domain, r.scheds, r.eng)
+	d := NewDaemonFrom(r.domain, staticScheds(r.scheds), r.eng)
 	d.Register(r.impl)
 	for i := 0; i < 6; i++ {
 		r.scheds[0].Submit(r.task(2048), nil)

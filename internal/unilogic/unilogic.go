@@ -140,8 +140,8 @@ func (d *Domain) Instances(kernel string) []*accel.Instance {
 	return d.instances[kernel]
 }
 
-// Deregister drops an instance from the routing table (eviction or
-// region failure); future Calls no longer consider it. The pending
+// Deregister drops an instance from the routing table (region or
+// Worker failure); future Calls no longer consider it. The pending
 // counter for its key is left alone: in-flight calls still decrement it
 // on completion, and a redeploy to the same Worker rightly inherits the
 // backlog. Reports whether the instance was registered.

@@ -481,13 +481,3 @@ func randBuf(n int, rng *sim.RNG) []float64 {
 	}
 	return b
 }
-
-// PoissonArrivals returns n exponential inter-arrival gaps with the
-// given mean, as simulated durations.
-func PoissonArrivals(rng *sim.RNG, mean sim.Time, n int) []sim.Time {
-	out := make([]sim.Time, n)
-	for i := range out {
-		out[i] = sim.Time(rng.ExpFloat64() * float64(mean))
-	}
-	return out
-}

@@ -133,19 +133,3 @@ func TestCARTSplitSeparates(t *testing.T) {
 		t.Errorf("counts %v+%v != N", out[1], out[2])
 	}
 }
-
-func TestPoissonArrivals(t *testing.T) {
-	rng := sim.NewRNG(5)
-	gaps := PoissonArrivals(rng, sim.Microsecond, 10000)
-	var sum sim.Time
-	for _, g := range gaps {
-		if g < 0 {
-			t.Fatal("negative gap")
-		}
-		sum += g
-	}
-	mean := float64(sum) / 10000
-	if mean < 0.9*float64(sim.Microsecond) || mean > 1.1*float64(sim.Microsecond) {
-		t.Errorf("mean gap %v, want ~1us", sim.Time(mean))
-	}
-}

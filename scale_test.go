@@ -23,12 +23,10 @@ func TestScaleSmoke100k(t *testing.T) {
 		// Budget for the whole constructed machine. An eager build at
 		// this scale needs gigabytes (fabric grids, TLBs, page tables,
 		// schedulers × 131k); the flyweight spine is a few MB of index
-		// slots plus the census. Measured with go1.24 on linux/amd64,
-		// with and without -race: 5.15 MiB while every machine also built
-		// an MPI world communicator (16 B per Worker), 3.15 MiB without
-		// it. 4.5 MiB fails if that communicator, or any other 16 B per
-		// Worker, comes back.
-		heapBudget = 9 << 19 // 4.5 MiB
+		// slots. Measured with go1.24 on linux/amd64, with and without
+		// -race: 3.02 MiB, 24.2 B per Worker. 4 MiB fails if any 16 B
+		// per Worker (2 MiB here) comes back.
+		heapBudget = 4 << 20 // 4 MiB
 	)
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -68,13 +66,7 @@ func TestScaleSmoke100k(t *testing.T) {
 	if live > tasks*4 {
 		t.Errorf("%d workers live for %d tasks; laziness leak?", live, tasks)
 	}
-	quiescent := 0
-	for cn := 0; cn < m.Tree.NumComputeNodes(); cn++ {
-		if m.Census().Quiescent(1, cn) {
-			quiescent++
-		}
-	}
-	if quiescent < nodes/2 {
+	if quiescent := m.QuiescentNodes(); quiescent < nodes/2 {
 		t.Errorf("only %d of %d compute nodes stayed quiescent", quiescent, nodes)
 	}
 	runtime.KeepAlive(m)
