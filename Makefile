@@ -90,9 +90,10 @@ fuzz:
 # ecobench, ecosim, ecohls and the benchmark binary with coverage over
 # every package, then runs every table (and E1 again with -csv), the
 # three TestEcosimGolden command lines, one ecosim run with -diagram
-# -sharing shared-cn, ecohls -dse and -emit on every built-in kernel,
-# the four workloads at --seconds 0 and one traced pgas run (the
-# per-layer probes), and prints each function at 0%.
+# -sharing shared-cn -policy hw (16 accelerator calls, 12 of them to
+# another Worker of the Compute Node), ecohls -dse and -emit on every
+# built-in kernel, the four workloads at --seconds 0 and one traced pgas
+# run (the per-layer probes), and prints each function at 0%.
 # Binaries, coverage data and run outputs go to a throwaway directory,
 # so nothing is written inside the checkout. Not part of check.
 reach:
@@ -111,7 +112,7 @@ reach:
 		"-sharing private -balance polling -skew"; do \
 		"$$tmp/ecosim" $$args -trace t.json -metrics m.prom -metrics-json m.json > /dev/null; \
 	done; \
-	"$$tmp/ecosim" -diagram -sharing shared-cn > /dev/null; \
+	"$$tmp/ecosim" -diagram -sharing shared-cn -policy hw > /dev/null; \
 	for k in $$("$$tmp/ecohls" -list); do \
 		"$$tmp/ecohls" -kernel $$k -dse > /dev/null; \
 		"$$tmp/ecohls" -kernel $$k -emit > /dev/null; \

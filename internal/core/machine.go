@@ -43,8 +43,8 @@ import (
 const MaxWorkers = 1 << 24
 
 // mappedBytes is how much of the address space each accelerator stream
-// is identity-mapped for (the user-level access window); the Workers'
-// SMMUs share one table entry per page of it.
+// is identity-mapped for (the user-level access window); each Worker's
+// SMMU holds it as one identity rule per stage, not an entry per page.
 const mappedBytes = 16 << 20
 
 // Config describes a machine to build. The zero value is not valid; use
@@ -154,7 +154,6 @@ type Machine struct {
 	// slot in its node's shell is set.
 	shells    []*nodeShell
 	wpc       int        // workers per compute node (FanOut[0])
-	smmuTmpl  *smmu.SMMU // shared identity-map page tables (COW)
 	defPolicy rts.Policy // applied to schedulers at materialization
 	// faults is the armed-faults extension (see fault.go); nil until
 	// InjectFaults or a direct fault call, so a healthy machine carries
@@ -287,11 +286,11 @@ func (m *Machine) Manager(w int) *accel.Manager {
 		fab.Trace = m.Tracer
 		fab.TracePID = trace.WorkerPID(w)
 		fab.Reg = m.Reg
+		// The first 32 accelerator streams get user-level access to
+		// the low mappedBytes of the global space (VA == PA) via a
+		// stage-1 identity under ASID 1 and a stage-2 one under VMID 1.
 		mmu := smmu.New(m.Cfg.SMMU)
-		// Every Worker's identity map is the same page set, so all
-		// Workers share one canonical table copy-on-write; only the
-		// 32 stream bindings are private per Worker.
-		mmu.ShareTablesFrom(m.identityTemplate())
+		mmu.MapIdentity(1, 1, mappedBytes/int(mmu.PageSize()), smmu.PermRW)
 		for sid := w * 1000; sid < w*1000+32; sid++ {
 			mmu.BindContext(sid, 1, 1)
 		}
@@ -322,20 +321,6 @@ func (m *Machine) peekManager(w int) *accel.Manager {
 		return sh.mgrs[w%m.wpc]
 	}
 	return nil
-}
-
-// identityTemplate lazily builds the canonical identity-mapped page
-// tables shared by every Worker's SMMU: the first 32 accelerator streams
-// get user-level access to the low mappedBytes of the global space
-// (VA == PA) via stage-1 pages owned by ASID 1 and a stage-2 identity
-// under VMID 1.
-func (m *Machine) identityTemplate() *smmu.SMMU {
-	if m.smmuTmpl == nil {
-		tmpl := smmu.New(m.Cfg.SMMU)
-		tmpl.MapIdentity(1, 1, mappedBytes/int(tmpl.PageSize()), smmu.PermRW)
-		m.smmuTmpl = tmpl
-	}
-	return m.smmuTmpl
 }
 
 // EachSched calls fn for every materialized scheduler in Worker order.

@@ -17,6 +17,21 @@ import (
 // zero runs (unused routing/config frames); density controls the fraction
 // of frames carrying configuration, which determines how well RLE does.
 func (f *Fabric) BitstreamFor(p *Placement, density float64) []byte {
+	out := make([]byte, p.Area()*f.cfg.BytesPerRegion)
+	i := 0
+	f.walkBitstream(p, density, func(v byte, n int) {
+		for ; n > 0; n-- {
+			out[i] = v
+			i++
+		}
+	})
+	return out
+}
+
+// walkBitstream generates BitstreamFor's bytes in order as runs, calling
+// emit(v, n) for n consecutive bytes of value v: a zero frame comes as
+// one run, a configured frame one byte at a time.
+func (f *Fabric) walkBitstream(p *Placement, density float64, emit func(v byte, n int)) {
 	if density <= 0 {
 		density = 0.25
 	}
@@ -24,7 +39,6 @@ func (f *Fabric) BitstreamFor(p *Placement, density float64) []byte {
 		density = 1
 	}
 	size := p.Area() * f.cfg.BytesPerRegion
-	out := make([]byte, size)
 	seed := int64(0)
 	for _, ch := range p.Module.Name {
 		seed = seed*131 + int64(ch)
@@ -37,17 +51,48 @@ func (f *Fabric) BitstreamFor(p *Placement, density float64) []byte {
 		runLen := 32 + rng.Intn(224)
 		if rng.Float64() < density {
 			for j := 0; j < runLen && i < size; j++ {
-				out[i] = byte(rng.Uint64())
-				if out[i] == 0 {
-					out[i] = 1
+				v := byte(rng.Uint64())
+				if v == 0 {
+					v = 1
 				}
+				emit(v, 1)
 				i++
 			}
 		} else {
+			emit(0, min(runLen, size-i))
 			i += runLen
 		}
 	}
-	return out
+}
+
+// rleSize counts the length of CompressRLE's output for a byte sequence
+// fed to it as runs, without building either.
+type rleSize struct {
+	v     byte
+	run   int // length of the current run of v
+	pairs int // (count, value) pairs of the finished runs
+}
+
+func (c *rleSize) add(v byte, n int) {
+	if c.run > 0 && v == c.v {
+		c.run += n
+		return
+	}
+	c.end()
+	c.v, c.run = v, n
+}
+
+// end closes the current run, which CompressRLE splits into pairs of at
+// most 255 bytes.
+func (c *rleSize) end() {
+	c.pairs += (c.run + 254) / 255
+	c.run = 0
+}
+
+// bytes returns the compressed length of everything added.
+func (c *rleSize) bytes() int {
+	c.end()
+	return 2 * c.pairs
 }
 
 // CompressRLE run-length encodes data as (count, value) byte pairs with
@@ -83,13 +128,6 @@ func DecompressRLE(data []byte) []byte {
 		}
 	}
 	return out
-}
-
-// CompressionRatio returns original/compressed size for a placement's
-// bitstream at the given density.
-func (f *Fabric) CompressionRatio(p *Placement, density float64) float64 {
-	bs := f.BitstreamFor(p, density)
-	return float64(len(bs)) / float64(len(CompressRLE(bs)))
 }
 
 // LoadOptions controls a partial reconfiguration.
@@ -138,12 +176,14 @@ func (f *Fabric) LoadLatency(p *Placement, opt LoadOptions) sim.Time {
 	return sim.Time(float64(f.wireBytes(p, opt)) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
 }
 
-// wireBytes is the size of what a load streams through the port. An
-// uncompressed bitstream is always Area() * BytesPerRegion bytes, so
-// only a compressed load needs the bytes themselves.
+// wireBytes is the size of what a load streams through the port: the
+// Area() * BytesPerRegion bitstream, or its RLE encoding, counted as the
+// bitstream is generated without materializing either.
 func (f *Fabric) wireBytes(p *Placement, opt LoadOptions) int {
 	if opt.Compressed {
-		return len(CompressRLE(f.BitstreamFor(p, opt.Density)))
+		var c rleSize
+		f.walkBitstream(p, opt.Density, c.add)
+		return c.bytes()
 	}
 	return p.Area() * f.cfg.BytesPerRegion
 }

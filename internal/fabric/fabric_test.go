@@ -382,11 +382,15 @@ func TestBitstreamDeterministicAndSized(t *testing.T) {
 func TestBitstreamCompresses(t *testing.T) {
 	_, f, _ := newFabric(t)
 	p, _ := f.Place(bigMod("a", 4))
-	ratio := f.CompressionRatio(p, 0.25)
+	ratioAt := func(density float64) float64 {
+		bs := f.BitstreamFor(p, density)
+		return float64(len(bs)) / float64(len(CompressRLE(bs)))
+	}
+	ratio := ratioAt(0.25)
 	if ratio < 1.5 {
 		t.Errorf("compression ratio %.2f too low for sparse config data", ratio)
 	}
-	dense := f.CompressionRatio(p, 1.0)
+	dense := ratioAt(1.0)
 	if dense >= ratio {
 		t.Errorf("dense bitstream (%.2f) should compress worse than sparse (%.2f)", dense, ratio)
 	}
@@ -418,41 +422,104 @@ func TestLoadTiming(t *testing.T) {
 // TestLoadWireBytesMatchBitstream pins Load and LoadLatency to the bytes
 // BitstreamFor synthesizes: a plain load moves the whole bitstream and a
 // compressed one its RLE encoding, in simulated time and in the
-// fabric.loaded_bytes counter.
+// fabric.loaded_bytes counter. Across the module names the bitstreams
+// hold zero frames that meet into one run, runs CompressRLE splits at
+// 255 bytes, and equal configured bytes side by side; the test checks
+// that they do, so the run counter behind a compressed load meets each.
 func TestLoadWireBytesMatchBitstream(t *testing.T) {
-	for _, regions := range []int{1, 4, 16} {
-		for _, density := range []float64{0, 0.1, 0.25, 0.5, 1} {
-			for _, compressed := range []bool{false, true} {
-				eng, f, _ := newFabric(t)
-				f.Reg = trace.NewRegistry()
-				p, err := f.Place(bigMod(fmt.Sprintf("m%d", regions), regions))
-				if err != nil {
-					t.Fatal(err)
-				}
-				bs := f.BitstreamFor(p, density)
-				want := len(bs)
-				if compressed {
-					want = len(CompressRLE(bs))
-				}
-				wantLat := sim.Time(float64(want) / f.Config().PortBytesPerNs * float64(sim.Nanosecond))
-				opt := LoadOptions{Compressed: compressed, Density: density}
-				if got := f.LoadLatency(p, opt); got != wantLat {
-					t.Errorf("regions=%d density=%v compressed=%v: LoadLatency = %v, want %v",
-						regions, density, compressed, got, wantLat)
-				}
-				var done sim.Time
-				f.Load(p, opt, func() { done = eng.Now() })
-				eng.RunUntilIdle()
-				if done != wantLat {
-					t.Errorf("regions=%d density=%v compressed=%v: load took %v, want %v",
-						regions, density, compressed, done, wantLat)
-				}
-				if got := f.Reg.CounterTotal("fabric.loaded_bytes"); got != uint64(want) {
-					t.Errorf("regions=%d density=%v compressed=%v: fabric.loaded_bytes = %d, want %d",
-						regions, density, compressed, got, want)
+	var zeroMeets, splits, equalBytes int
+	for _, name := range []string{"m", "fir", "spmv", "matmul-16", "x"} {
+		for _, regions := range []int{1, 4, 16} {
+			for _, density := range []float64{0, 0.1, 0.25, 0.5, 1} {
+				for _, compressed := range []bool{false, true} {
+					eng, f, _ := newFabric(t)
+					f.Reg = trace.NewRegistry()
+					p, err := f.Place(bigMod(fmt.Sprintf("%s%d", name, regions), regions))
+					if err != nil {
+						t.Fatal(err)
+					}
+					bs := f.BitstreamFor(p, density)
+					want := len(bs)
+					if compressed {
+						want = len(CompressRLE(bs))
+						var prev byte = 1
+						f.walkBitstream(p, density, func(v byte, n int) {
+							if v == 0 && prev == 0 {
+								zeroMeets++
+							}
+							prev = v
+						})
+						for i := 0; i < len(bs); {
+							run := 1
+							for i+run < len(bs) && bs[i+run] == bs[i] {
+								run++
+							}
+							if run > 255 {
+								splits++
+							}
+							if run > 1 && bs[i] != 0 {
+								equalBytes++
+							}
+							i += run
+						}
+					}
+					wantLat := sim.Time(float64(want) / f.Config().PortBytesPerNs * float64(sim.Nanosecond))
+					opt := LoadOptions{Compressed: compressed, Density: density}
+					if got := f.LoadLatency(p, opt); got != wantLat {
+						t.Errorf("%s: regions=%d density=%v compressed=%v: LoadLatency = %v, want %v",
+							p.Module.Name, regions, density, compressed, got, wantLat)
+					}
+					var done sim.Time
+					f.Load(p, opt, func() { done = eng.Now() })
+					eng.RunUntilIdle()
+					if done != wantLat {
+						t.Errorf("%s: regions=%d density=%v compressed=%v: load took %v, want %v",
+							p.Module.Name, regions, density, compressed, done, wantLat)
+					}
+					if got := f.Reg.CounterTotal("fabric.loaded_bytes"); got != uint64(want) {
+						t.Errorf("%s: regions=%d density=%v compressed=%v: fabric.loaded_bytes = %d, want %d",
+							p.Module.Name, regions, density, compressed, got, want)
+					}
 				}
 			}
 		}
+	}
+	if zeroMeets == 0 || splits == 0 || equalBytes == 0 {
+		t.Errorf("bitstreams hold %d meeting zero frames, %d runs over 255 bytes and %d equal configured-byte runs; want each > 0",
+			zeroMeets, splits, equalBytes)
+	}
+}
+
+// TestRLESizeMatchesCompressRLE feeds random runs, of a few values so
+// that neighbours often meet and of lengths past 255, to the run counter
+// and checks it against the length of CompressRLE's output.
+func TestRLESizeMatchesCompressRLE(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		var c rleSize
+		var data []byte
+		for k := rng.Intn(20); k > 0; k-- {
+			v, n := byte(rng.Intn(3)), 1+rng.Intn(600)
+			c.add(v, n)
+			data = append(data, bytes.Repeat([]byte{v}, n)...)
+		}
+		if got, want := c.bytes(), len(CompressRLE(data)); got != want {
+			t.Fatalf("trial %d: counted %d RLE bytes, CompressRLE gives %d", trial, got, want)
+		}
+	}
+}
+
+// TestCompressedLoadLatencyAllocatesNothing pins that a compressed
+// load's size is counted, not built.
+func TestCompressedLoadLatencyAllocatesNothing(t *testing.T) {
+	_, f, _ := newFabric(t)
+	p, err := f.Place(bigMod("a", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := LoadOptions{Compressed: true, Density: 0.25}
+	if n := testing.AllocsPerRun(10, func() { f.LoadLatency(p, opt) }); n != 0 {
+		t.Errorf("compressed LoadLatency makes %v allocations, want 0", n)
 	}
 }
 

@@ -13,9 +13,7 @@
 package ocl
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"ecoscale/internal/accel"
 	"ecoscale/internal/core"
@@ -99,20 +97,13 @@ func (b *Buffer) Poke(host []float64) {
 	if len(host) > b.Elems {
 		panic("ocl: host slice larger than buffer")
 	}
-	space := b.ctx.p.M.Space
-	for i, v := range host {
-		space.PokeWord(b.addr+uint64(i*8), math.Float64bits(v))
-	}
+	b.ctx.p.M.Space.PokeFloat64s(b.addr, host)
 }
 
 // Peek reads the buffer with no simulated cost.
 func (b *Buffer) Peek() []float64 {
-	space := b.ctx.p.M.Space
-	raw := space.PeekRange(b.addr, b.Bytes())
 	out := make([]float64, b.Elems)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
+	b.ctx.p.M.Space.PeekFloat64s(b.addr, out)
 	return out
 }
 

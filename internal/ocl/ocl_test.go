@@ -36,6 +36,52 @@ func TestBufferPokePeek(t *testing.T) {
 	}
 }
 
+// TestBufferPokePeekMatchWords checks the page-at-a-time Poke and Peek
+// of a 3-page interleaved buffer against per-word PokeWord/PeekWord.
+func TestBufferPokePeekMatchWords(t *testing.T) {
+	ctx := newCtx(t, 2, 1)
+	space := ctx.p.M.Space
+	elems := 2*space.PageBytes()/8 + 100
+	b := ctx.CreateBuffer(elems, Interleaved, 0)
+	host := make([]float64, elems)
+	for i := range host {
+		host[i] = float64(i)*1.5 - 7
+	}
+	b.Poke(host)
+	for i, v := range host {
+		if got := space.PeekWord(b.addr + uint64(8*i)); got != math.Float64bits(v) {
+			t.Fatalf("word %d after Poke = %#x, want %#x", i, got, math.Float64bits(v))
+		}
+	}
+	for i := range host {
+		host[i] = -float64(i) / 3
+		space.PokeWord(b.addr+uint64(8*i), math.Float64bits(host[i]))
+	}
+	got := b.Peek()
+	if len(got) != elems {
+		t.Fatalf("Peek returned %d elements, want %d", len(got), elems)
+	}
+	for i, v := range host {
+		if got[i] != v {
+			t.Fatalf("Peek elem %d = %v, want %v", i, got[i], v)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Poke of elems+1 values did not panic")
+			}
+		}()
+		b.Poke(make([]float64, elems+1))
+	}()
+	if n := testing.AllocsPerRun(10, func() { b.Poke(host) }); n != 0 {
+		t.Errorf("Poke makes %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Peek() }); n != 1 {
+		t.Errorf("Peek makes %v allocations, want 1", n)
+	}
+}
+
 func TestBufferInterleaved(t *testing.T) {
 	ctx := newCtx(t, 4, 1)
 	// 4 pages worth of elements.

@@ -132,6 +132,69 @@ type entry struct {
 	perm   Perm
 }
 
+// window is an identity rule: pages [0, pages) map to themselves with perm.
+type window struct {
+	pages uint64
+	perm  Perm
+}
+
+// table is one ASID's stage-1 or one VMID's stage-2 translation table:
+// explicit per-page entries, consulted first, then identity windows.
+// It answers as if every map had written per-page entries in call
+// order: an identity window deletes the explicit entries it covers and
+// the older windows it covers whole, so every explicit entry is newer
+// than the windows covering it, and the windows, newest first, widen.
+type table struct {
+	pages   map[uint64]entry
+	windows []window
+}
+
+func (t *table) lookup(page uint64) (entry, bool) {
+	if t == nil {
+		return entry{}, false
+	}
+	if e, ok := t.pages[page]; ok {
+		return e, true
+	}
+	for _, w := range t.windows {
+		if page < w.pages {
+			return entry{target: page, perm: w.perm}, true
+		}
+	}
+	return entry{}, false
+}
+
+func (t *table) set(page uint64, e entry) {
+	if t.pages == nil {
+		t.pages = map[uint64]entry{}
+	}
+	t.pages[page] = e
+}
+
+// identity lays an identity window over the table.
+func (t *table) identity(pages uint64, perm Perm) {
+	for p := range t.pages {
+		if p < pages {
+			delete(t.pages, p)
+		}
+	}
+	hidden := 0
+	for hidden < len(t.windows) && t.windows[hidden].pages <= pages {
+		hidden++
+	}
+	t.windows = append([]window{{pages: pages, perm: perm}}, t.windows[hidden:]...)
+}
+
+// tableFor returns the table for id, creating an empty one.
+func tableFor(tables map[int]*table, id int) *table {
+	t, ok := tables[id]
+	if !ok {
+		t = &table{}
+		tables[id] = t
+	}
+	return t
+}
+
 type context struct {
 	asid int
 	vmid int
@@ -148,18 +211,15 @@ type tlbEntry struct {
 
 // SMMU is a dual-stage system MMU with a unified TLB.
 //
-// Two flyweight mechanisms keep an idle SMMU small: the TLB array is
-// allocated on the first translation (an empty and an absent TLB behave
-// identically), and the stage-1/stage-2 page tables can be shared
-// copy-on-write between instances via ShareTablesFrom, so 100k Workers
-// with identical identity maps reference one table set until one of them
-// installs a private mapping.
+// An idle SMMU stays small: the TLB array is allocated on the first
+// translation (an empty and an absent TLB behave identically), and an
+// identity map is one window rule per ASID and VMID rather than an
+// entry per page, so MapIdentity costs the same at any window size.
 type SMMU struct {
 	cfg      Config
-	stage1   map[int]map[uint64]entry // asid → vaPage → (ipaPage, perm)
-	stage2   map[int]map[uint64]entry // vmid → ipaPage → (paPage, perm)
-	shared   bool                     // tables borrowed from another SMMU
-	contexts map[int]context          // streamID → bank
+	stage1   map[int]*table  // asid → vaPage → (ipaPage, perm)
+	stage2   map[int]*table  // vmid → ipaPage → (paPage, perm)
+	contexts map[int]context // streamID → bank
 	tlb      []tlbEntry
 	clock    uint64
 
@@ -173,44 +233,10 @@ func New(cfg Config) *SMMU {
 	}
 	return &SMMU{
 		cfg:      cfg,
-		stage1:   map[int]map[uint64]entry{},
-		stage2:   map[int]map[uint64]entry{},
+		stage1:   map[int]*table{},
+		stage2:   map[int]*table{},
 		contexts: map[int]context{},
 	}
-}
-
-// ShareTablesFrom points this SMMU's stage-1 and stage-2 tables at src's,
-// copy-on-write: lookups read the shared tables directly, and the first
-// local Map takes a private deep copy. Context bindings and the TLB
-// stay private. src must use the same page geometry.
-func (s *SMMU) ShareTablesFrom(src *SMMU) {
-	if src.cfg.PageBits != s.cfg.PageBits {
-		panic("smmu: table sharing requires identical page geometry")
-	}
-	s.stage1 = src.stage1
-	s.stage2 = src.stage2
-	s.shared = true
-}
-
-// ownTables takes a private deep copy of shared tables before a mutation.
-func (s *SMMU) ownTables() {
-	if !s.shared {
-		return
-	}
-	copyTables := func(t map[int]map[uint64]entry) map[int]map[uint64]entry {
-		out := make(map[int]map[uint64]entry, len(t))
-		for id, m := range t {
-			cp := make(map[uint64]entry, len(m))
-			for k, v := range m {
-				cp[k] = v
-			}
-			out[id] = cp
-		}
-		return out
-	}
-	s.stage1 = copyTables(s.stage1)
-	s.stage2 = copyTables(s.stage2)
-	s.shared = false
 }
 
 // PageSize returns the translation granule in bytes.
@@ -230,13 +256,7 @@ func (s *SMMU) MapStage1(asid int, va, ipa uint64, perm Perm) {
 	if s.offOf(va) != 0 || s.offOf(ipa) != 0 {
 		panic("smmu: stage-1 mapping must be page aligned")
 	}
-	s.ownTables()
-	m, ok := s.stage1[asid]
-	if !ok {
-		m = map[uint64]entry{}
-		s.stage1[asid] = m
-	}
-	m[s.pageOf(va)] = entry{target: s.pageOf(ipa), perm: perm}
+	tableFor(s.stage1, asid).set(s.pageOf(va), entry{target: s.pageOf(ipa), perm: perm})
 	s.invalidateTLB(func(e *tlbEntry) bool {
 		c, ok := s.contexts[e.stream]
 		return ok && c.asid == asid && e.vaPage == s.pageOf(va)
@@ -248,13 +268,7 @@ func (s *SMMU) MapStage2(vmid int, ipa, pa uint64, perm Perm) {
 	if s.offOf(ipa) != 0 || s.offOf(pa) != 0 {
 		panic("smmu: stage-2 mapping must be page aligned")
 	}
-	s.ownTables()
-	m, ok := s.stage2[vmid]
-	if !ok {
-		m = map[uint64]entry{}
-		s.stage2[vmid] = m
-	}
-	m[s.pageOf(ipa)] = entry{target: s.pageOf(pa), perm: perm}
+	tableFor(s.stage2, vmid).set(s.pageOf(ipa), entry{target: s.pageOf(pa), perm: perm})
 	// Conservative: stage-2 changes flush everything in that VMID.
 	s.invalidateTLB(func(e *tlbEntry) bool {
 		c, ok := s.contexts[e.stream]
@@ -265,23 +279,12 @@ func (s *SMMU) MapStage2(vmid int, ipa, pa uint64, perm Perm) {
 // MapIdentity identity-maps the first pages pages of the address space
 // in both stages: VA == IPA under the ASID and IPA == PA under the VMID,
 // each with perm — the "hypervisor gives the OS real memory" setup. It
-// is the bulk form of a MapStage1 plus MapStage2 call per page, with the
-// same resulting tables and TLB, and it builds each new stage map at
-// its final size.
+// gives the same translations and flushes the same TLB entries as a
+// MapStage1 plus MapStage2 call per page, but stores one window rule
+// per stage, so its cost does not grow with pages.
 func (s *SMMU) MapIdentity(asid, vmid, pages int, perm Perm) {
-	s.ownTables()
-	fill := func(t map[int]map[uint64]entry, id int) {
-		m, ok := t[id]
-		if !ok {
-			m = make(map[uint64]entry, pages)
-			t[id] = m
-		}
-		for p := uint64(0); p < uint64(pages); p++ {
-			m[p] = entry{target: p, perm: perm}
-		}
-	}
-	fill(s.stage1, asid)
-	fill(s.stage2, vmid)
+	tableFor(s.stage1, asid).identity(uint64(pages), perm)
+	tableFor(s.stage2, vmid).identity(uint64(pages), perm)
 	s.invalidateTLB(func(e *tlbEntry) bool {
 		c, ok := s.contexts[e.stream]
 		return ok && (c.vmid == vmid || c.asid == asid && e.vaPage < uint64(pages))
@@ -327,7 +330,7 @@ func (s *SMMU) Translate(streamID int, va uint64, access Perm) (Result, error) {
 	}
 	s.misses++
 	// Stage 1 walk.
-	e1, ok := s.stage1[ctx.asid][vaPage]
+	e1, ok := s.stage1[ctx.asid].lookup(vaPage)
 	if !ok {
 		s.faults++
 		return Result{}, &Fault{Kind: FaultTranslationStage1, StreamID: streamID, VA: va}
@@ -337,7 +340,7 @@ func (s *SMMU) Translate(streamID int, va uint64, access Perm) (Result, error) {
 		return Result{}, &Fault{Kind: FaultPermissionStage1, StreamID: streamID, VA: va}
 	}
 	// Stage 2 walk.
-	e2, ok := s.stage2[ctx.vmid][e1.target]
+	e2, ok := s.stage2[ctx.vmid].lookup(e1.target)
 	if !ok {
 		s.faults++
 		return Result{}, &Fault{Kind: FaultTranslationStage2, StreamID: streamID, VA: va}

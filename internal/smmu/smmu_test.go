@@ -2,6 +2,7 @@ package smmu
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,25 +99,142 @@ func faultKind(err error) string {
 	return f.Kind.String()
 }
 
-// TestMapIdentityCopiesSharedTables checks that MapIdentity on an SMMU
-// that borrowed its tables writes a private copy, not the source's.
-func TestMapIdentityCopiesSharedTables(t *testing.T) {
-	src := New(DefaultConfig())
-	src.BindContext(1, 1, 1)
-	src.MapStage1(1, 0, 5*pg, PermRW)
-	src.MapStage2(1, 5*pg, 5*pg, PermRW)
-	dst := New(DefaultConfig())
-	dst.BindContext(1, 1, 1)
-	dst.ShareTablesFrom(src)
-	dst.MapIdentity(1, 1, 8, PermRW)
-	if res, err := dst.Translate(1, 0, PermRead); err != nil || res.PA != 0 {
-		t.Errorf("borrower: %+v, %v; want PA 0", res, err)
+// mapOp is one table update: MapIdentity(id, vmid, pages, perm) when
+// pages > 0, otherwise page from → to under id in stage 1 or 2.
+type mapOp struct {
+	stage, id, vmid int
+	from, to        uint64 // page numbers
+	pages           int
+	perm            Perm
+}
+
+// apply performs op on s, expanding an identity window into a
+// MapStage1 plus MapStage2 call per page unless bulk is set.
+func (op mapOp) apply(s *SMMU, bulk bool) {
+	switch {
+	case op.pages > 0 && bulk:
+		s.MapIdentity(op.id, op.vmid, op.pages, op.perm)
+	case op.pages > 0:
+		for p := uint64(0); p < uint64(op.pages); p++ {
+			s.MapStage1(op.id, p*pg, p*pg, op.perm)
+			s.MapStage2(op.vmid, p*pg, p*pg, op.perm)
+		}
+	case op.stage == 1:
+		s.MapStage1(op.id, op.from*pg, op.to*pg, op.perm)
+	default:
+		s.MapStage2(op.id, op.from*pg, op.to*pg, op.perm)
 	}
-	if res, err := src.Translate(1, 0, PermRead); err != nil || res.PA != 5*pg {
-		t.Errorf("source after borrower's MapIdentity: %+v, %v; want PA %#x", res, err, 5*pg)
+}
+
+// identity returns the op MapIdentity(asid, vmid, pages, perm).
+func identity(asid, vmid, pages int, perm Perm) mapOp {
+	return mapOp{id: asid, vmid: vmid, pages: pages, perm: perm}
+}
+
+// TestMapIdentityOrdersMatchPerPageMaps replays sequences of identity
+// windows and per-page maps on two SMMUs, one taking MapIdentity as a
+// window rule and one as a MapStage1 plus MapStage2 call per page. After
+// every step each stream translates every page near the windows for
+// reads and writes, so the TLB is warm before the next step; the two
+// must agree on every result and fault, and hold identical TLB arrays,
+// which pins the entries each step flushes.
+func TestMapIdentityOrdersMatchPerPageMaps(t *testing.T) {
+	cases := []struct {
+		name string
+		ops  []mapOp
+	}{
+		{"identity over earlier per-page entries", []mapOp{
+			{stage: 1, id: 3, from: 2, to: 30, perm: PermRW},
+			{stage: 2, id: 4, from: 30, to: 50, perm: PermRW},
+			{stage: 2, id: 4, from: 5, to: 60, perm: PermRW},
+			{stage: 1, id: 3, from: 20, to: 20, perm: PermRW},
+			{stage: 2, id: 4, from: 20, to: 21, perm: PermRW},
+			identity(3, 4, 16, PermRead),
+		}},
+		{"per-page remap inside the window", []mapOp{
+			identity(3, 4, 16, PermRW),
+			{stage: 1, id: 3, from: 4, to: 9, perm: PermRead},
+			{stage: 2, id: 4, from: 9, to: 40, perm: PermRW},
+			{stage: 2, id: 4, from: 6, to: 41, perm: PermWrite},
+			{stage: 1, id: 5, from: 7, to: 7, perm: PermRW},
+		}},
+		{"second identity, smaller window and another perm", []mapOp{
+			identity(3, 4, 16, PermRW),
+			{stage: 1, id: 3, from: 12, to: 3, perm: PermRW},
+			{stage: 1, id: 3, from: 2, to: 13, perm: PermRW},
+			identity(3, 4, 8, PermRead),
+			identity(3, 4, 4, PermWrite),
+		}},
+		{"second identity, wider window", []mapOp{
+			identity(3, 4, 8, PermRead),
+			{stage: 2, id: 4, from: 10, to: 11, perm: PermRW},
+			identity(3, 4, 16, PermRW),
+			identity(3, 4, 16, PermRead),
+		}},
+		{"identity under other ids sharing a bank", []mapOp{
+			identity(3, 4, 8, PermRW),
+			identity(5, 4, 12, PermRead),
+			identity(3, 6, 10, PermRW),
+			{stage: 2, id: 6, from: 1, to: 2, perm: PermRW},
+		}},
 	}
-	if _, err := src.Translate(1, pg, PermRead); faultKind(err) != "stage1-translation" {
-		t.Errorf("source gained the borrower's page 1: %v", err)
+	cfg := DefaultConfig()
+	cfg.TLBEntries = 512 // no evictions: every flush difference shows
+	for _, c := range cases {
+		bulk, loop := New(cfg), New(cfg)
+		for _, s := range []*SMMU{bulk, loop} {
+			s.BindContext(1, 3, 4)
+			s.BindContext(2, 5, 4)
+			s.BindContext(3, 3, 6)
+		}
+		for step, op := range c.ops {
+			op.apply(bulk, true)
+			op.apply(loop, false)
+			for stream := 1; stream <= 3; stream++ {
+				for page := uint64(0); page < 24; page++ {
+					for _, access := range []Perm{PermRead, PermWrite} {
+						va := page*pg + 8
+						got, gotErr := bulk.Translate(stream, va, access)
+						want, wantErr := loop.Translate(stream, va, access)
+						if got != want || faultKind(gotErr) != faultKind(wantErr) {
+							t.Errorf("%s, step %d, stream %d, page %d, %v: MapIdentity gives %+v, %v; per-page maps give %+v, %v",
+								c.name, step, stream, page, access, got, gotErr, want, wantErr)
+						}
+					}
+				}
+			}
+			if !slices.Equal(bulk.tlb, loop.tlb) {
+				t.Errorf("%s, step %d: TLB differs from the per-page reference", c.name, step)
+			}
+		}
+		if bulk.Hits() != loop.Hits() || bulk.Misses() != loop.Misses() || bulk.Faults() != loop.Faults() {
+			t.Errorf("%s: hits/misses/faults %d/%d/%d; per-page maps give %d/%d/%d", c.name,
+				bulk.Hits(), bulk.Misses(), bulk.Faults(), loop.Hits(), loop.Misses(), loop.Faults())
+		}
+	}
+	// The first page past the latest window faults in stage 1.
+	s := New(cfg)
+	s.BindContext(1, 3, 4)
+	identity(3, 4, 16, PermRW).apply(s, true)
+	identity(3, 4, 8, PermRW).apply(s, true)
+	if _, err := s.Translate(1, 15*pg, PermRead); err != nil {
+		t.Errorf("last page of the wider window: %v", err)
+	}
+	if _, err := s.Translate(1, 16*pg, PermRead); faultKind(err) != "stage1-translation" {
+		t.Errorf("first page past the window: %v; want a stage-1 translation fault", err)
+	}
+}
+
+// TestMapIdentityAllocsIndependentOfPages checks that an identity map
+// is a rule: mapping 4,096 pages allocates no more than mapping 16.
+func TestMapIdentityAllocsIndependentOfPages(t *testing.T) {
+	allocs := func(pages int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			New(DefaultConfig()).MapIdentity(1, 1, pages, PermRW)
+		})
+	}
+	if small, large := allocs(16), allocs(4096); small != large {
+		t.Errorf("MapIdentity allocations: %v at 16 pages, %v at 4096", small, large)
 	}
 }
 

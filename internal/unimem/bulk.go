@@ -1,6 +1,10 @@
 package unimem
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
 	"ecoscale/internal/mem"
 	"ecoscale/internal/sim"
 	"ecoscale/internal/trace"
@@ -23,6 +27,44 @@ func (s *Space) PeekRange(addr uint64, size int) []byte {
 		size -= n
 	}
 	return out
+}
+
+// PokeFloat64s writes v from addr on as little-endian float64 words
+// with no timing, a page at a time; addr must be 8-byte aligned.
+func (s *Space) PokeFloat64s(addr uint64, v []float64) {
+	for len(v) > 0 {
+		data := s.wordsAt(addr)
+		n := min(len(v), len(data)/8)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(x))
+		}
+		addr += uint64(8 * n)
+		v = v[n:]
+	}
+}
+
+// PeekFloat64s fills dst with the little-endian float64 words from addr
+// on with no timing, a page at a time; addr must be 8-byte aligned.
+func (s *Space) PeekFloat64s(addr uint64, dst []float64) {
+	for len(dst) > 0 {
+		data := s.wordsAt(addr)
+		n := min(len(dst), len(data)/8)
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		addr += uint64(8 * n)
+		dst = dst[n:]
+	}
+}
+
+// wordsAt returns the backing bytes from the 8-byte aligned addr to the
+// end of its page; the page size is a whole number of lines, so no word
+// straddles a page.
+func (s *Space) wordsAt(addr uint64) []byte {
+	if addr%8 != 0 {
+		panic(fmt.Sprintf("unimem: float64 access at unaligned address %#x", addr))
+	}
+	return s.pageOf(addr).data[addr%uint64(s.cfg.PageBytes):]
 }
 
 // pageRemaining returns the bytes from addr to the end of its page.

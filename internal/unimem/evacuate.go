@@ -1,10 +1,6 @@
 package unimem
 
-import (
-	"sort"
-
-	"ecoscale/internal/noc"
-)
+import "ecoscale/internal/noc"
 
 // State evacuation after a Worker death. UNIMEM's partitioned ownership
 // makes this tractable: the dead Worker's pages are an enumerable set,
@@ -13,15 +9,14 @@ import (
 // is precisely the decoupling the architecture argues for.
 
 // PagesOwnedBy returns the page numbers whose DRAM home is worker w, in
-// ascending page order (deterministic regardless of map iteration).
+// ascending page order.
 func (s *Space) PagesOwnedBy(w int) []uint64 {
 	var out []uint64
 	for no, p := range s.pages {
-		if p.Owner() == w {
-			out = append(out, no)
+		if p != nil && p.Owner() == w {
+			out = append(out, uint64(no))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

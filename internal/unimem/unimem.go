@@ -84,9 +84,8 @@ type Space struct {
 	net     *noc.Network
 	cfg     Config
 	reg     *trace.Registry
-	pages   map[uint64]*page
+	pages   []*page // by page number; numbering starts at 1, so pages[0] is nil
 	workers []*workerMem
-	next    uint64 // next free page number
 
 	// Registry series, looked up on first use (see counter).
 	ctrs           [numCounters]*trace.Counter
@@ -114,7 +113,7 @@ func NewSpace(net *noc.Network, cfg Config, reg *trace.Registry) *Space {
 		panic(err.Error())
 	}
 	n := net.Topology().NumWorkers()
-	s := &Space{net: net, cfg: cfg, reg: reg, pages: map[uint64]*page{}, next: 1}
+	s := &Space{net: net, cfg: cfg, reg: reg, pages: []*page{nil}}
 	s.workers = make([]*workerMem, n)
 	return s
 }
@@ -225,19 +224,26 @@ func (s *Space) Alloc(owner, size int) uint64 {
 		panic("unimem: Alloc size must be positive")
 	}
 	npages := (size + s.cfg.PageBytes - 1) / s.cfg.PageBytes
-	base := s.next * uint64(s.cfg.PageBytes)
+	base := uint64(len(s.pages)) * uint64(s.cfg.PageBytes)
 	for i := 0; i < npages; i++ {
 		p := &page{data: make([]byte, s.cfg.PageBytes)}
 		p.setHome(owner)
-		s.pages[s.next] = p
-		s.next++
+		s.pages = append(s.pages, p)
 	}
 	return base
 }
 
+// lookup returns the page holding addr, or nil if it is unallocated.
+func (s *Space) lookup(addr uint64) *page {
+	if no := addr / uint64(s.cfg.PageBytes); no < uint64(len(s.pages)) {
+		return s.pages[no]
+	}
+	return nil
+}
+
 func (s *Space) pageOf(addr uint64) *page {
-	p, ok := s.pages[addr/uint64(s.cfg.PageBytes)]
-	if !ok {
+	p := s.lookup(addr)
+	if p == nil {
 		panic(fmt.Sprintf("unimem: access to unallocated address %#x", addr))
 	}
 	return p
@@ -508,8 +514,8 @@ func (s *Space) handleEviction(node int, res mem.AccessResult) {
 	if !res.Evicted || !res.WritebackNeeded {
 		return
 	}
-	vp, ok := s.pages[res.EvictedAddr/uint64(s.cfg.PageBytes)]
-	if !ok {
+	vp := s.lookup(res.EvictedAddr)
+	if vp == nil {
 		return
 	}
 	s.count(ctrWritebacks)

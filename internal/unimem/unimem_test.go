@@ -2,6 +2,8 @@ package unimem
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +57,43 @@ func TestAllocPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestUnallocatedAddressPanics checks that address 0, below the first
+// page, and the first byte past the last page are refused.
+func TestUnallocatedAddressPanics(t *testing.T) {
+	_, s, _ := newSpace(t, 2)
+	base := s.Alloc(1, 3*s.PageBytes())
+	for _, addr := range []uint64{0, base + uint64(3*s.PageBytes())} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "unimem: access to unallocated address") {
+					t.Errorf("access at %#x: panic %q; want an unallocated-address panic", addr, msg)
+				}
+			}()
+			s.PeekWord(addr)
+		}()
+	}
+	if s.OwnerOf(base+uint64(3*s.PageBytes())-1) != 1 {
+		t.Error("last byte of the last page has the wrong owner")
+	}
+}
+
+// TestPagesOwnedByInterleavedAllocs checks that each owner's pages come
+// back in ascending order when owners' allocations interleave.
+func TestPagesOwnedByInterleavedAllocs(t *testing.T) {
+	_, s, _ := newSpace(t, 3)
+	pb := s.PageBytes()
+	for _, a := range []struct{ owner, pages int }{{0, 1}, {1, 2}, {0, 3}, {2, 1}, {1, 1}, {0, 1}} {
+		s.Alloc(a.owner, a.pages*pb)
+	}
+	want := map[int][]uint64{0: {1, 4, 5, 6, 9}, 1: {2, 3, 8}, 2: {7}}
+	for w, pages := range want {
+		if got := s.PagesOwnedBy(w); !slices.Equal(got, pages) {
+			t.Errorf("PagesOwnedBy(%d) = %v, want %v", w, got, pages)
+		}
 	}
 }
 
