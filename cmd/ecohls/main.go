@@ -41,6 +41,9 @@ func main() {
 	if err := checkSize(*n); err != nil {
 		log.Fatal(err)
 	}
+	if err := checkDirectives(*unroll, *ports, *share, *budget); err != nil {
+		log.Fatal(err)
+	}
 
 	if *list {
 		for _, w := range workload.Registry() {
@@ -116,6 +119,24 @@ func main() {
 func checkSize(n float64) error {
 	if !(n > 0) || math.IsInf(n, 0) {
 		return fmt.Errorf("ecohls: -n %g: the problem size must be positive and finite", n)
+	}
+	return nil
+}
+
+// checkDirectives rejects directive flags below 1 and a negative DSE
+// budget, which synthesis would otherwise quietly raise to 1 or treat
+// as unbounded.
+func checkDirectives(unroll, ports, share, budget int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"unroll", unroll}, {"ports", ports}, {"share", share}} {
+		if f.v < 1 {
+			return fmt.Errorf("ecohls: -%s %d: the directive must be at least 1", f.name, f.v)
+		}
+	}
+	if budget < 0 {
+		return fmt.Errorf("ecohls: -budget %d: the area budget cannot be negative (0 = unbounded)", budget)
 	}
 	return nil
 }

@@ -68,7 +68,7 @@ func main() {
 	ckptBytes := flag.Int("ckpt-bytes", 0, "snapshot bytes per Worker checkpoint (0 = default)")
 	flag.Parse()
 
-	if err := checkWorkload(*nSize, *tasks, *flowCap); err != nil {
+	if err := checkWorkload(*nSize, *tasks, *flowCap, *unroll, *ports, *profileInt); err != nil {
 		log.Fatal(err)
 	}
 	w, err := workload.ByName(*kernelName)
@@ -231,9 +231,10 @@ func main() {
 	}
 }
 
-// checkWorkload rejects a problem size, task count or listing cap no run
-// can use, before any machine is built.
-func checkWorkload(n, tasks, flowCap int) error {
+// checkWorkload rejects a problem size, task count, listing cap,
+// directive or sampling period no run can use, before any machine is
+// built.
+func checkWorkload(n, tasks, flowCap, unroll, ports int, profileInt time.Duration) error {
 	if n < 1 {
 		return fmt.Errorf("ecosim: -n %d: the problem size must be at least 1", n)
 	}
@@ -242,6 +243,15 @@ func checkWorkload(n, tasks, flowCap int) error {
 	}
 	if flowCap < 0 {
 		return fmt.Errorf("ecosim: -flowcap %d: the listing cap cannot be negative (0 prints every event)", flowCap)
+	}
+	if unroll < 1 {
+		return fmt.Errorf("ecosim: -unroll %d: the unroll factor must be at least 1", unroll)
+	}
+	if ports < 1 {
+		return fmt.Errorf("ecosim: -ports %d: the memory port count must be at least 1", ports)
+	}
+	if profileInt < 0 {
+		return fmt.Errorf("ecosim: -profile-interval %v: the sampling period cannot be negative (0 = default)", profileInt)
 	}
 	return nil
 }

@@ -33,8 +33,8 @@ import (
 type Config = core.Config
 
 // Machine is a built ECOSCALE system: engine, topology, interconnect,
-// UNIMEM space, per-Worker fabrics and schedulers, the UNILOGIC domain,
-// the work-stealing cluster and the reconfiguration daemon.
+// UNIMEM space, per-Worker fabrics and schedulers, the UNILOGIC domain
+// and the work-stealing cluster.
 type Machine = core.Machine
 
 // Directives are the HLS synthesis knobs (unroll, memory ports, unit

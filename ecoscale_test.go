@@ -129,40 +129,6 @@ func TestDeployKernelFacade(t *testing.T) {
 	}
 }
 
-func TestDaemonDeploysThroughFacade(t *testing.T) {
-	m := ecoscale.New(ecoscale.DefaultConfig(2, 1))
-	ctx := ecoscale.NewPlatform(m).CreateContext()
-	w, _ := ecoscale.KernelByName("reduce")
-	prog, err := ctx.CreateProgram(w.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(w.DefaultDir); err != nil {
-		t.Fatal(err)
-	}
-	// Run the kernel a few times in software to heat the history.
-	m.SetPolicy(ecoscale.PolicyCPU)
-	rng := sim.NewRNG(1)
-	args, _ := w.Make(256, rng)
-	b := ctx.CreateBuffer(256, ocl.OnWorker, 0)
-	b.Poke(args[0].Buf)
-	out := ctx.CreateBuffer(1, ocl.OnWorker, 0)
-	q := ctx.CreateQueue(0)
-	for i := 0; i < 5; i++ {
-		ev := q.EnqueueKernel(prog, "reduce", []ocl.Arg{ocl.BufArg(b), ocl.BufArg(out), ocl.ScalarArg(256)}, nil)
-		if err := ctx.WaitAll(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Daemon.Tick() != 1 {
-		t.Fatal("daemon did not react to hot kernel")
-	}
-	m.Run()
-	if len(m.Domain.Instances("reduce")) != 1 {
-		t.Error("daemon deployment missing")
-	}
-}
-
 func TestExploreFacade(t *testing.T) {
 	w, _ := ecoscale.KernelByName("vecadd")
 	k, err := ecoscale.ParseKernel(w.Source)

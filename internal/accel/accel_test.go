@@ -1,8 +1,9 @@
 package accel
 
 import (
-	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestInvokeDataPlane(t *testing.T) {
 	addr := r.space.Alloc(0, 4096)
 	n := 8
 	for i := 0; i < n; i++ {
-		r.space.PokeWord(addr+uint64(i*8), uint64(i))
+		r.space.PokeFloat64s(addr+uint64(i*8), []float64{math.Float64frombits(uint64(i))})
 	}
 	in.Invoke(1, CallSpec{
 		Bindings: map[string]float64{"N": float64(n)},
@@ -141,7 +142,7 @@ func TestInvokeDataPlane(t *testing.T) {
 		Exec: func() error {
 			for i := 0; i < n; i++ {
 				a := addr + uint64(i*8)
-				r.space.PokeWord(a, r.space.PeekWord(a)*2)
+				r.space.PokeFloat64s(a, []float64{math.Float64frombits(r.space.PeekWord(a) * 2)})
 			}
 			return nil
 		},
@@ -326,12 +327,11 @@ func TestChainPreservesData(t *testing.T) {
 		ensure(t, r, 1, mustImpl(t, strings.Replace(srcScale, "kernel scale", "kernel scaleb", 1), hls.DefaultDirectives())),
 	}
 	addr := r.space.Alloc(0, size)
-	want := make([]byte, size)
+	want := make([]float64, size/8)
 	for i := range want {
-		want[i] = byte(i*13 + 1)
+		want[i] = float64(i*13+1) / 7
 	}
-	r.space.Poke(addr, want[:4096])
-	r.space.Poke(addr+4096, want[4096:])
+	r.space.PokeFloat64s(addr, want)
 	var done bool
 	Chain(0, stages, Span{addr, size}, map[string]float64{"N": 16}, func(err error) {
 		if err != nil {
@@ -343,7 +343,9 @@ func TestChainPreservesData(t *testing.T) {
 	if !done {
 		t.Fatal("chain never completed")
 	}
-	if got := r.space.PeekRange(addr, size); !bytes.Equal(got, want) {
+	got := make([]float64, len(want))
+	r.space.PeekFloat64s(addr, got)
+	if !slices.Equal(got, want) {
 		t.Error("chain overwrote the span it streams")
 	}
 }

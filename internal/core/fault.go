@@ -31,12 +31,6 @@ type faultState struct {
 	deadCount int
 }
 
-// WorkerLive reports whether Worker w is alive (always true before any
-// fault is armed or injected).
-func (m *Machine) WorkerLive(w int) bool {
-	return m.faults == nil || !m.faults.dead[w]
-}
-
 // DeadWorkers returns how many Workers have been killed.
 func (m *Machine) DeadWorkers() int {
 	if m.faults == nil {
@@ -56,9 +50,9 @@ func (m *Machine) Busy() bool {
 	return busy
 }
 
-// armFaults materializes the fault extension: the dead bitmap, the
-// daemon's liveness filter, and the unload→deregister hook that keeps
-// the UNILOGIC routing table honest once instances can die.
+// armFaults materializes the fault extension: the dead bitmap and the
+// unload→deregister hook that keeps the UNILOGIC routing table honest
+// once instances can die.
 func (m *Machine) armFaults(ckptCfg fault.CheckpointConfig) *faultState {
 	if m.faults != nil {
 		return m.faults
@@ -66,9 +60,6 @@ func (m *Machine) armFaults(ckptCfg fault.CheckpointConfig) *faultState {
 	m.faults = &faultState{
 		dead:    make([]bool, m.Workers()),
 		ckptCfg: ckptCfg.Norm(),
-	}
-	if m.Daemon != nil {
-		m.Daemon.Live = m.WorkerLive
 	}
 	m.EachManager(func(mgr *accel.Manager) { mgr.OnUnload = m.domainUnload })
 	return m.faults

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestKillWorkerConservesTasks(t *testing.T) {
 func TestKillWorkerEvacuatesPages(t *testing.T) {
 	m := New(DefaultConfig(4, 1))
 	addr := m.Space.Alloc(1, 8192) // two pages owned by worker 1
-	m.Space.Poke(addr, []byte{0xAB, 0xCD})
+	m.Space.PokeFloat64s(addr, []float64{math.Float64frombits(0xCDAB)})
 	m.Sched(2).Submit(heavyTask(), nil) // keep the machine busy past the kill
 	m.InjectFaults(&fault.Plan{
 		Events: []fault.Event{{At: 5 * sim.Microsecond, Kind: fault.KillWorker, Worker: 1}},
@@ -127,9 +128,8 @@ func TestKillWorkerEvacuatesPages(t *testing.T) {
 	if got := m.Space.PagesOwnedBy(1); len(got) != 0 {
 		t.Fatalf("dead worker still owns pages %v", got)
 	}
-	b := m.Space.Peek(addr, 2)
-	if b[0] != 0xAB || b[1] != 0xCD {
-		t.Fatalf("evacuated page corrupted: % x", b)
+	if w := m.Space.PeekWord(addr); w != 0xCDAB {
+		t.Fatalf("evacuated page corrupted: %#x", w)
 	}
 }
 

@@ -2,12 +2,12 @@
 // the hierarchical UNILOGIC+UNIMEM architecture of Fig. 3: Workers with
 // CPU, cache, DRAM, dual-stage SMMU and a reconfigurable block, grouped
 // into Compute Nodes (PGAS domains) joined by a multi-layer interconnect,
-// with one runtime scheduler per Worker, a shared-accelerator domain, a
-// work-stealing cluster and a reconfiguration daemon on top.
+// with one runtime scheduler per Worker, a shared-accelerator domain and
+// a work-stealing cluster on top.
 //
 // The machine is a flyweight: construction allocates only the shared
-// spine (engine, topology, interconnect, PGAS directory, domain, cluster,
-// daemon), while per-Worker state — scheduler, fabric, SMMU, accelerator
+// spine (engine, topology, interconnect, PGAS directory, domain,
+// cluster), while per-Worker state — scheduler, fabric, SMMU, accelerator
 // manager, caches — materializes on the first event that touches the
 // Worker. A quiescent Compute Node is a single nil slot until then, so a
 // 100k-Worker machine with a handful of active Workers costs a handful
@@ -144,7 +144,6 @@ type Machine struct {
 	Reg     *trace.Registry
 	Domain  *unilogic.Domain
 	Cluster *rts.Cluster
-	Daemon  *rts.Daemon
 	Tracer  *trace.Tracer
 	// Prof is the simulation profiler (nil unless Config.Profile).
 	Prof *profile.Profiler
@@ -186,7 +185,6 @@ func New(cfg Config) *Machine {
 	if cfg.Trace {
 		m.Tracer = trace.NewTracer()
 		m.Tracer.SetProcessName(trace.PIDSystem, "control plane")
-		m.Tracer.SetThreadName(trace.PIDSystem, 0, "reconfig daemon")
 		// Declare the worker process/thread lanes in O(1); names are
 		// synthesized at export instead of Sprintf'd per Worker here.
 		m.Tracer.SetWorkerLanes(workers)
@@ -206,9 +204,6 @@ func New(cfg Config) *Machine {
 	m.Cluster = rts.NewClusterFrom(cfg.Balance, machineScheds{m}, m.Net)
 	m.Cluster.Trace = m.Tracer
 	m.Cluster.Reg = m.Reg
-	m.Daemon = rts.NewDaemonFrom(m.Domain, machineScheds{m}, m.Eng)
-	m.Daemon.Trace = m.Tracer
-	m.Daemon.Reg = m.Reg
 	if cfg.Profile {
 		m.Prof = profile.New(m.Eng, m.Tracer, m.Reg, cfg.ProfileInterval)
 		m.Prof.AddProbe("tasks.queued", trace.PIDSystem, func() float64 {
@@ -392,16 +387,8 @@ func (p machineScheds) PeekSched(w int) *rts.Scheduler { return p.m.peekSched(w)
 // unilogic.ManagerProvider.
 type machineManagers struct{ m *Machine }
 
-func (p machineManagers) NumWorkers() int                  { return p.m.Workers() }
-func (p machineManagers) Manager(w int) *accel.Manager     { return p.m.Manager(w) }
-func (p machineManagers) PeekManager(w int) *accel.Manager { return p.m.peekManager(w) }
-func (p machineManagers) FreeRegions(w int) int {
-	if mgr := p.m.peekManager(w); mgr != nil {
-		return mgr.Fab.FreeRegions()
-	}
-	// An untouched fabric is entirely free.
-	return p.m.Cfg.Fabric.Rows * p.m.Cfg.Fabric.Cols
-}
+func (p machineManagers) NumWorkers() int              { return p.m.Workers() }
+func (p machineManagers) Manager(w int) *accel.Manager { return p.m.Manager(w) }
 
 // Workers returns the Worker count.
 func (m *Machine) Workers() int { return m.Tree.NumWorkers() }
@@ -416,8 +403,8 @@ func (m *Machine) Run() sim.Time {
 }
 
 // DeployKernel synthesizes src under dir and loads it on worker w,
-// registering it with the UNILOGIC domain and the daemon library. It
-// runs the simulation until the reconfiguration completes.
+// registering it with the UNILOGIC domain. It runs the simulation until
+// the reconfiguration completes.
 func (m *Machine) DeployKernel(src string, dir hls.Directives, w int) (*accel.Instance, error) {
 	k, err := hls.Parse(src)
 	if err != nil {
@@ -426,9 +413,6 @@ func (m *Machine) DeployKernel(src string, dir hls.Directives, w int) (*accel.In
 	im, err := hls.Synthesize(k, dir)
 	if err != nil {
 		return nil, err
-	}
-	if m.Daemon != nil {
-		m.Daemon.Register(im)
 	}
 	var inst *accel.Instance
 	var derr error

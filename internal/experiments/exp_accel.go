@@ -180,13 +180,12 @@ func scenE8() runner.Scenario {
 							if err != nil {
 								return runner.Row{}, err
 							}
-							bs := fab.BitstreamFor(p, density)
-							rle := fabric.CompressRLE(bs)
-							plainLat := fab.LoadLatency(p, fabric.LoadOptions{Density: density})
-							rleLat := fab.LoadLatency(p, fabric.LoadOptions{Density: density, Compressed: true})
-							saved := energy.Joules(len(bs)-len(rle)) * meter.Model.ReconfigPerByte
-							return runner.R(regions, density, len(bs), len(rle),
-								fmt.Sprint(plainLat), fmt.Sprint(rleLat), saved.String()), nil
+							plainOpt := fabric.LoadOptions{Density: density}
+							rleOpt := fabric.LoadOptions{Density: density, Compressed: true}
+							plain, rle := fab.WireBytes(p, plainOpt), fab.WireBytes(p, rleOpt)
+							saved := energy.Joules(plain-rle) * meter.Model.ReconfigPerByte
+							return runner.R(regions, density, plain, rle,
+								fmt.Sprint(fab.LoadLatency(p, plainOpt)), fmt.Sprint(fab.LoadLatency(p, rleOpt)), saved.String()), nil
 						},
 					})
 				}

@@ -7,30 +7,18 @@ import (
 )
 
 // This file covers the configuration-data path: synthetic partial
-// bitstreams, RLE compression ([11], "Hardware Decompression Techniques
-// for FPGA-based Embedded Systems"), and the timed partial-reconfiguration
-// load through the ICAP-class port.
+// bitstreams, their RLE-compressed size ([11], "Hardware Decompression
+// Techniques for FPGA-based Embedded Systems"), and the timed
+// partial-reconfiguration load through the ICAP-class port.
 
-// BitstreamFor synthesizes the partial bitstream for a placement:
-// deterministic bytes derived from the module name, sized
+// walkBitstream synthesizes the partial bitstream for a placement as
+// runs, calling emit(v, n) for n consecutive bytes of value v: a zero
+// frame comes as one run, a configured frame one byte at a time. The
+// bytes are deterministic, derived from the module name, and number
 // Area() * BytesPerRegion. Real configuration data is dominated by long
-// zero runs (unused routing/config frames); density controls the fraction
-// of frames carrying configuration, which determines how well RLE does.
-func (f *Fabric) BitstreamFor(p *Placement, density float64) []byte {
-	out := make([]byte, p.Area()*f.cfg.BytesPerRegion)
-	i := 0
-	f.walkBitstream(p, density, func(v byte, n int) {
-		for ; n > 0; n-- {
-			out[i] = v
-			i++
-		}
-	})
-	return out
-}
-
-// walkBitstream generates BitstreamFor's bytes in order as runs, calling
-// emit(v, n) for n consecutive bytes of value v: a zero frame comes as
-// one run, a configured frame one byte at a time.
+// zero runs (unused routing/config frames); density controls the
+// fraction of frames carrying configuration, which determines how well
+// RLE does.
 func (f *Fabric) walkBitstream(p *Placement, density float64, emit func(v byte, n int)) {
 	if density <= 0 {
 		density = 0.25
@@ -65,8 +53,10 @@ func (f *Fabric) walkBitstream(p *Placement, density float64, emit func(v byte, 
 	}
 }
 
-// rleSize counts the length of CompressRLE's output for a byte sequence
-// fed to it as runs, without building either.
+// rleSize counts the length of the RLE encoding of a byte sequence fed
+// to it as runs, without building either. The encoding is (count, value)
+// byte pairs with runs up to 255: the worst case doubles the size, and
+// configuration data with long zero runs compresses well.
 type rleSize struct {
 	v     byte
 	run   int // length of the current run of v
@@ -82,8 +72,8 @@ func (c *rleSize) add(v byte, n int) {
 	c.v, c.run = v, n
 }
 
-// end closes the current run, which CompressRLE splits into pairs of at
-// most 255 bytes.
+// end closes the current run, which the encoding splits into pairs of
+// at most 255 bytes.
 func (c *rleSize) end() {
 	c.pairs += (c.run + 254) / 255
 	c.run = 0
@@ -93,41 +83,6 @@ func (c *rleSize) end() {
 func (c *rleSize) bytes() int {
 	c.end()
 	return 2 * c.pairs
-}
-
-// CompressRLE run-length encodes data as (count, value) byte pairs with
-// runs up to 255. Worst case doubles the size; configuration data with
-// long zero runs compresses well.
-func CompressRLE(data []byte) []byte {
-	out := make([]byte, 0, len(data)/2)
-	i := 0
-	for i < len(data) {
-		v := data[i]
-		run := 1
-		for i+run < len(data) && data[i+run] == v && run < 255 {
-			run++
-		}
-		out = append(out, byte(run), v)
-		i += run
-	}
-	return out
-}
-
-// DecompressRLE reverses CompressRLE. It panics on malformed input (odd
-// length), which can only arise from corruption.
-func DecompressRLE(data []byte) []byte {
-	if len(data)%2 != 0 {
-		panic("fabric: corrupt RLE stream")
-	}
-	var out []byte
-	for i := 0; i < len(data); i += 2 {
-		run := int(data[i])
-		v := data[i+1]
-		for j := 0; j < run; j++ {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // LoadOptions controls a partial reconfiguration.
@@ -145,7 +100,7 @@ type LoadOptions struct {
 // done fires when the region is active. Loads serialize on the port —
 // the middleware contention that E6/E9 observe under churn.
 func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
-	bytes := f.wireBytes(p, opt)
+	bytes := f.WireBytes(p, opt)
 	dur := sim.Time(float64(bytes) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
 	start := f.eng.Now()
 	f.ensurePort().Use(dur, func() {
@@ -173,13 +128,13 @@ func (f *Fabric) Load(p *Placement, opt LoadOptions, done func()) {
 // LoadLatency returns the uncontended reconfiguration time for a
 // placement under the given options.
 func (f *Fabric) LoadLatency(p *Placement, opt LoadOptions) sim.Time {
-	return sim.Time(float64(f.wireBytes(p, opt)) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
+	return sim.Time(float64(f.WireBytes(p, opt)) / f.cfg.PortBytesPerNs * float64(sim.Nanosecond))
 }
 
-// wireBytes is the size of what a load streams through the port: the
+// WireBytes is the size of what a load streams through the port: the
 // Area() * BytesPerRegion bitstream, or its RLE encoding, counted as the
 // bitstream is generated without materializing either.
-func (f *Fabric) wireBytes(p *Placement, opt LoadOptions) int {
+func (f *Fabric) WireBytes(p *Placement, opt LoadOptions) int {
 	if opt.Compressed {
 		var c rleSize
 		f.walkBitstream(p, opt.Density, c.add)

@@ -178,8 +178,8 @@ func (c *Context) CreateProgram(sources ...string) (*Program, error) {
 	return p, nil
 }
 
-// Build synthesizes every kernel under the directives and registers the
-// implementations with the runtime daemon's library.
+// Build synthesizes every kernel under the directives; DeployTo then
+// loads one onto a Worker's fabric.
 func (p *Program) Build(dir hls.Directives) error {
 	for name, k := range p.Kernels {
 		im, err := hls.Synthesize(k, dir)
@@ -187,13 +187,11 @@ func (p *Program) Build(dir hls.Directives) error {
 			return fmt.Errorf("ocl: building %s: %w", name, err)
 		}
 		p.Impls[name] = im
-		p.ctx.p.M.Daemon.Register(im)
 	}
 	return nil
 }
 
-// DeployTo loads a built kernel onto a Worker's fabric now (callers may
-// instead leave loading to the runtime daemon).
+// DeployTo loads a built kernel onto a Worker's fabric now.
 func (p *Program) DeployTo(kernel string, worker int) error {
 	im, ok := p.Impls[kernel]
 	if !ok {

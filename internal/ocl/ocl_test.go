@@ -37,7 +37,7 @@ func TestBufferPokePeek(t *testing.T) {
 }
 
 // TestBufferPokePeekMatchWords checks the page-at-a-time Poke and Peek
-// of a 3-page interleaved buffer against per-word PokeWord/PeekWord.
+// of a 3-page interleaved buffer against per-word PokeFloat64s/PeekWord.
 func TestBufferPokePeekMatchWords(t *testing.T) {
 	ctx := newCtx(t, 2, 1)
 	space := ctx.p.M.Space
@@ -55,7 +55,7 @@ func TestBufferPokePeekMatchWords(t *testing.T) {
 	}
 	for i := range host {
 		host[i] = -float64(i) / 3
-		space.PokeWord(b.addr+uint64(8*i), math.Float64bits(host[i]))
+		space.PokeFloat64s(b.addr+uint64(8*i), host[i:i+1])
 	}
 	got := b.Peek()
 	if len(got) != elems {

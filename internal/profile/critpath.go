@@ -72,7 +72,7 @@ func Categories() []Category {
 // attribution priority (higher wins when spans overlap: actual work
 // explains elapsed time better than the waiting layered around it).
 // ok is false for spans that are not activities (task envelopes,
-// routing/dispatch instants, daemon ticks).
+// routing/dispatch instants).
 func categoryOf(cat string) (c Category, prio int, ok bool) {
 	switch cat {
 	case trace.CatCompute:

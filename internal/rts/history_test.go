@@ -59,14 +59,10 @@ func checkHistory(t *testing.T, step int, h *History, kept map[string]map[Device
 		t.Fatalf("step %d: Len = %d, want %d", step, h.Len(), n)
 	}
 	for kernel, byDev := range kept {
-		var total sim.Time
 		for _, dev := range []Device{DeviceCPU, DeviceHW} {
 			k := byDev[dev]
 			if k == nil {
 				k = &keptRows{}
-			}
-			for _, d := range k.ts {
-				total += sim.Time(d)
 			}
 			if got := h.Samples(kernel, dev); got != len(k.xs) {
 				t.Fatalf("step %d: Samples(%s, %s) = %d, want %d", step, kernel, dev, got, len(k.xs))
@@ -74,9 +70,6 @@ func checkHistory(t *testing.T, step int, h *History, kept map[string]map[Device
 			if !sameModel(h.Model(kernel, dev), refFit(k.xs, k.ts)) {
 				t.Fatalf("step %d: Model(%s, %s) differs from a batch fit", step, kernel, dev)
 			}
-		}
-		if got := h.TotalTime(kernel); got != total {
-			t.Fatalf("step %d: TotalTime(%s) = %d, want %d", step, kernel, got, total)
 		}
 	}
 }
@@ -109,8 +102,8 @@ func testHistoryInterleaved(t *testing.T) {
 	if h.Model("fir", DeviceHW) == nil || h.Model("scale", DeviceCPU) == nil {
 		t.Fatal("no model after 300 samples")
 	}
-	if h.Model("idle", DeviceCPU) != nil || h.TotalTime("idle") != 0 {
-		t.Error("model or time for a kernel never recorded")
+	if h.Model("idle", DeviceCPU) != nil {
+		t.Error("model for a kernel never recorded")
 	}
 }
 
@@ -158,9 +151,6 @@ func testHistoryRaggedCollinear(t *testing.T) {
 	if h.Model("flat", DeviceCPU) != nil {
 		t.Error("model from collinear features")
 	}
-	if got := h.TotalTime("x"); got != 10+11+12+13+14+15+16+17+18+19 {
-		t.Errorf("TotalTime(x) = %d", got)
-	}
 }
 
 func TestHistoryZeroAlloc(t *testing.T) {
@@ -176,7 +166,6 @@ func TestHistoryZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() {
 		h.Model("k", DeviceHW)
 		h.Samples("k", DeviceHW)
-		h.TotalTime("k")
 	}); a != 0 {
 		t.Errorf("model lookups on an unchanged history allocate %v times, want 0", a)
 	}

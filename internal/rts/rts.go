@@ -4,8 +4,9 @@
 // be executed in software or in hardware based on the local status and
 // the status of other Workers in the vicinity". Device selection is
 // driven by input-dependent execution-time models trained on the history
-// (see internal/perfmodel), and a runtime daemon decides "at runtime what
-// functions should be loaded on the reconfiguration block".
+// (see internal/perfmodel). Loading kernels on the reconfigurable block
+// is explicit: the paper's runtime daemon that would decide it from the
+// History is not modelled (DESIGN.md S11).
 package rts
 
 import (
@@ -90,9 +91,8 @@ type histKey struct {
 
 // histEntry is one (kernel, device) pair's running state.
 type histEntry struct {
-	n     int
-	total sim.Time
-	acc   perfmodel.Normal
+	n   int
+	acc perfmodel.Normal
 	// model caches the fit (nil when it failed) once solved; Add clears
 	// solved.
 	model  *perfmodel.Regression
@@ -122,7 +122,6 @@ func (h *History) Add(r Record) {
 		h.byKey[k] = e
 	}
 	e.n++
-	e.total += r.Duration
 	e.solved = false
 	if !e.ragged && e.acc.Add(r.Features, float64(r.Duration)) != nil {
 		e.ragged = true
@@ -138,17 +137,6 @@ func (h *History) Samples(kernel string, dev Device) int {
 		return e.n
 	}
 	return 0
-}
-
-// TotalTime sums the recorded durations for a kernel on both devices.
-func (h *History) TotalTime(kernel string) sim.Time {
-	var t sim.Time
-	for _, dev := range [...]Device{DeviceCPU, DeviceHW} {
-		if e := h.byKey[histKey{kernel, dev}]; e != nil {
-			t += e.total
-		}
-	}
-	return t
 }
 
 // Model fits a time-prediction regression for (kernel, device). It

@@ -29,10 +29,8 @@ kernel scale(global float* A, int N) {
 // unilogic.ManagerProvider.
 type staticManagers []*accel.Manager
 
-func (p staticManagers) NumWorkers() int                  { return len(p) }
-func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
-func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
-func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
+func (p staticManagers) NumWorkers() int              { return len(p) }
+func (p staticManagers) Manager(w int) *accel.Manager { return p[w] }
 
 // staticScheds adapts an eager scheduler slice to SchedulerProvider.
 type staticScheds []*Scheduler
@@ -184,9 +182,6 @@ func TestHistoryAccumulates(t *testing.T) {
 	}
 	if s.History.Samples("scale", DeviceCPU) != 5 {
 		t.Error("samples miscounted")
-	}
-	if s.History.TotalTime("scale") <= 0 {
-		t.Error("no time recorded")
 	}
 	if s.MeanWait() < 0 {
 		t.Error("negative wait")

@@ -128,61 +128,3 @@ func TestBalanceKindString(t *testing.T) {
 		t.Error("kind strings wrong")
 	}
 }
-
-func TestDaemonDeploysHotKernel(t *testing.T) {
-	r := newRig(t, 2)
-	for _, s := range r.scheds {
-		s.Policy = PolicyCPU{}
-	}
-	d := NewDaemonFrom(r.domain, staticScheds(r.scheds), r.eng)
-	d.Register(r.impl)
-	// Build history: scale is hot.
-	for i := 0; i < 6; i++ {
-		r.scheds[0].Submit(r.task(2048), nil)
-	}
-	r.eng.RunUntilIdle()
-	if len(r.domain.Instances("scale")) != 0 {
-		t.Fatal("instance exists before daemon tick")
-	}
-	n := d.Tick()
-	r.eng.RunUntilIdle()
-	if n != 1 || d.Deploys != 1 {
-		t.Errorf("tick deployed %d (%d total)", n, d.Deploys)
-	}
-	if len(r.domain.Instances("scale")) != 1 {
-		t.Error("daemon did not deploy the hot kernel")
-	}
-	// Second tick: nothing left to deploy.
-	if d.Tick() != 0 {
-		t.Error("daemon redeployed an already-deployed kernel")
-	}
-}
-
-func TestDaemonIgnoresColdKernels(t *testing.T) {
-	r := newRig(t, 2)
-	d := NewDaemonFrom(r.domain, staticScheds(r.scheds), r.eng)
-	d.Register(r.impl)
-	if d.Tick() != 0 {
-		t.Error("daemon deployed a kernel with no history")
-	}
-}
-
-func TestDaemonPeriodicStartStop(t *testing.T) {
-	r := newRig(t, 2)
-	for _, s := range r.scheds {
-		s.Policy = PolicyCPU{}
-	}
-	d := NewDaemonFrom(r.domain, staticScheds(r.scheds), r.eng)
-	d.Register(r.impl)
-	for i := 0; i < 6; i++ {
-		r.scheds[0].Submit(r.task(2048), nil)
-	}
-	d.Start()
-	// Run long enough for at least one tick, then stop.
-	r.eng.Run(r.eng.Now() + 250*sim.Microsecond)
-	d.Stop()
-	r.eng.RunUntilIdle()
-	if d.Deploys == 0 {
-		t.Error("periodic daemon never deployed")
-	}
-}

@@ -11,7 +11,7 @@ import (
 // This file implements the span tracer: a per-machine recorder of the
 // complete task lifecycle (submit → queue wait → dispatch decision →
 // bitstream reconfiguration → DMA/UNIMEM transfer → execute → complete)
-// plus reconfiguration-daemon and work-stealing events, timestamped with
+// plus work-stealing and fault events, timestamped with
 // the sim engine's picosecond clock. Spans export as Chrome trace-event
 // JSON (chrome://tracing, https://ui.perfetto.dev) with one process per
 // Worker and one lane (thread) each for its CPU, its fabric slot, and
@@ -33,7 +33,6 @@ const (
 	CatSMMU     = "smmu"     // doorbell + dual-stage translation
 	CatRoute    = "route"    // UNILOGIC instance-selection decision
 	CatSteal    = "steal"    // work-stealing probes and transfers
-	CatDaemon   = "daemon"   // reconfiguration-daemon ticks and deploys
 	CatDispatch = "dispatch" // scheduler device decision (instant)
 	CatFault    = "fault"    // injected fault: worker death, region failure, link flap
 	CatRecover  = "recover"  // recovery action: evacuation, re-queue, re-floorplanning
@@ -59,10 +58,11 @@ func LatencyHistogram(r *Registry, name string, labels ...Label) *Histogram {
 	return r.HistogramL(name, LatHistLo, LatHistHi, LatHistBins, labels...)
 }
 
-// Lane model: process 0 is the machine-level control plane (daemon,
-// work-stealing cluster); process w+1 is Worker w with three lanes.
+// Lane model: process 0 is the machine-level control plane, which holds
+// the profiler's machine-wide counter tracks; process w+1 is Worker w
+// with three lanes.
 const (
-	PIDSystem = 0 // daemon + cluster events
+	PIDSystem = 0 // machine-wide counters
 	TIDCPU    = 0 // scheduler/CPU lane
 	TIDFabric = 1 // reconfigurable-block lane
 	TIDDMA    = 2 // UNIMEM stream lane
@@ -98,13 +98,12 @@ func (s Span) Dur() int64 { return s.End - s.Start }
 type Tracer struct {
 	spans    []Span
 	procs    map[int]string
-	threads  map[int]map[int]string
 	counters []CounterSample
 	// workerLanes declares the standard Worker lane layout for workers
 	// 0..workerLanes-1 without storing per-worker strings: process
 	// WorkerPID(w) named "worker w" with cpu/fabric/dma lanes. Names are
 	// synthesized at export, so construction costs O(1) regardless of
-	// machine size. Explicit SetProcessName/SetThreadName entries win.
+	// machine size. An explicit SetProcessName entry wins.
 	workerLanes int
 }
 
@@ -121,7 +120,7 @@ type CounterSample struct {
 
 // NewTracer returns an enabled tracer that retains every span.
 func NewTracer() *Tracer {
-	return &Tracer{procs: map[int]string{}, threads: map[int]map[int]string{}}
+	return &Tracer{procs: map[int]string{}}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -215,19 +214,6 @@ func (t *Tracer) SetWorkerLanes(n int) {
 	}
 }
 
-// SetThreadName labels one lane of a process.
-func (t *Tracer) SetThreadName(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
-	m := t.threads[pid]
-	if m == nil {
-		m = map[int]string{}
-		t.threads[pid] = m
-	}
-	m[tid] = name
-}
-
 // jsonEscape writes s as a JSON string literal. Names and details are
 // plain ASCII identifiers in practice, but corrupt input must not
 // produce corrupt JSON.
@@ -264,29 +250,17 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 
 	if t != nil {
-		// Metadata: process and thread names, sorted for determinism.
-		// Worker lanes declared via SetWorkerLanes are synthesized here
-		// and merged with explicitly named ones; explicit names win, so
-		// the export is byte-identical to per-worker SetProcessName calls.
+		// Metadata: process names sorted by pid, then each Worker's lane
+		// names. Worker processes declared via SetWorkerLanes are
+		// synthesized here and merged with explicitly named ones;
+		// explicit names win, so the export is byte-identical to
+		// per-worker SetProcessName calls.
 		procs := make(map[int]string, len(t.procs)+t.workerLanes)
-		threads := make(map[int]map[int]string, len(t.threads)+t.workerLanes)
 		for w := 0; w < t.workerLanes; w++ {
-			pid := WorkerPID(w)
-			procs[pid] = "worker " + strconv.Itoa(w)
-			threads[pid] = map[int]string{TIDCPU: "cpu", TIDFabric: "fabric", TIDDMA: "dma"}
+			procs[WorkerPID(w)] = "worker " + strconv.Itoa(w)
 		}
 		for pid, name := range t.procs {
 			procs[pid] = name
-		}
-		for pid, lanes := range t.threads {
-			merged := threads[pid]
-			if merged == nil {
-				merged = map[int]string{}
-				threads[pid] = merged
-			}
-			for tid, name := range lanes {
-				merged[tid] = name
-			}
 		}
 		pids := make([]int, 0, len(procs))
 		for pid := range procs {
@@ -299,22 +273,11 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			jsonEscape(bw, procs[pid])
 			bw.WriteString("}}")
 		}
-		tpids := make([]int, 0, len(threads))
-		for pid := range threads {
-			tpids = append(tpids, pid)
-		}
-		sort.Ints(tpids)
-		for _, pid := range tpids {
-			tids := make([]int, 0, len(threads[pid]))
-			for tid := range threads[pid] {
-				tids = append(tids, tid)
-			}
-			sort.Ints(tids)
-			for _, tid := range tids {
+		for w := 0; w < t.workerLanes; w++ {
+			for tid, name := range [...]string{TIDCPU: "cpu", TIDFabric: "fabric", TIDDMA: "dma"} {
 				sep()
-				fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":`, pid, tid)
-				jsonEscape(bw, threads[pid][tid])
-				bw.WriteString("}}")
+				fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}`,
+					WorkerPID(w), tid, name)
 			}
 		}
 

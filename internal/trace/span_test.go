@@ -27,8 +27,7 @@ type chromeTrace struct {
 
 func TestWriteChromeRoundTrip(t *testing.T) {
 	tr := NewTracer()
-	tr.SetProcessName(WorkerPID(0), "worker 0")
-	tr.SetThreadName(WorkerPID(0), TIDCPU, "cpu")
+	tr.SetWorkerLanes(1)
 	tr.Add(Span{Name: "matmul", Cat: CatCompute, Start: 2_000_000, End: 5_000_000,
 		PID: WorkerPID(0), TID: TIDCPU, Task: 7, Detail: "cpu", Arg: 3})
 	tr.Instant(1_000_000, CatDispatch, "dispatch", WorkerPID(0), TIDCPU)
@@ -57,11 +56,16 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 			t.Fatalf("unexpected phase %q", e.Ph)
 		}
 	}
-	if len(meta) != 2 || len(complete) != 2 || len(instants) != 1 {
-		t.Fatalf("event mix = %d M, %d X, %d i; want 2, 2, 1", len(meta), len(complete), len(instants))
+	if len(meta) != 4 || len(complete) != 2 || len(instants) != 1 {
+		t.Fatalf("event mix = %d M, %d X, %d i; want 4, 2, 1", len(meta), len(complete), len(instants))
 	}
 	if meta[0].Name != "process_name" || meta[0].Args["name"] != "worker 0" {
 		t.Fatalf("process metadata wrong: %+v", meta[0])
+	}
+	for i, lane := range []string{"cpu", "fabric", "dma"} {
+		if e := meta[1+i]; e.Name != "thread_name" || e.PID != WorkerPID(0) || e.TID != i || e.Args["name"] != lane {
+			t.Fatalf("lane %d metadata wrong: %+v", i, e)
+		}
 	}
 
 	// 2ms..5ms in ps must round-trip to ts=2, dur=3 microseconds.
@@ -110,7 +114,7 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.Add(Span{Name: "x"})
 	tr.Instant(0, CatSteal, "probe", 0, 0)
 	tr.SetProcessName(0, "p")
-	tr.SetThreadName(0, 0, "t")
+	tr.SetWorkerLanes(1)
 	if tr.Enabled() || tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer must look empty and disabled")
 	}

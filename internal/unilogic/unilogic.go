@@ -74,18 +74,12 @@ type Domain struct {
 // ManagerProvider abstracts access to per-Worker accelerator managers so
 // a flyweight machine can materialize a Worker's manager on first touch.
 // An unmaterialized Worker behaves exactly like a freshly built idle one:
-// an empty fabric (FreeRegions == TotalRegions) and no instances.
+// an empty fabric and no instances.
 type ManagerProvider interface {
 	// NumWorkers returns the Worker count of the domain.
 	NumWorkers() int
 	// Manager returns worker w's manager, materializing it if needed.
 	Manager(w int) *accel.Manager
-	// PeekManager returns worker w's manager, or nil when the worker has
-	// not been materialized. It must not materialize anything.
-	PeekManager(w int) *accel.Manager
-	// FreeRegions reports worker w's free fabric regions without
-	// materializing an idle worker.
-	FreeRegions(w int) int
 }
 
 // NewDomainFrom creates a domain over a manager provider, which may
@@ -104,13 +98,6 @@ func NewDomainFrom(t *topo.Tree, prov ManagerProvider, eng *sim.Engine) *Domain 
 // Manager returns worker w's accelerator manager, materializing it in a
 // flyweight machine.
 func (d *Domain) Manager(w int) *accel.Manager { return d.prov.Manager(w) }
-
-// FreeRegions reports worker w's free fabric regions without forcing an
-// idle worker into existence.
-func (d *Domain) FreeRegions(w int) int { return d.prov.FreeRegions(w) }
-
-// NumWorkers returns the domain's Worker count.
-func (d *Domain) NumWorkers() int { return d.prov.NumWorkers() }
 
 // Deploy loads impl on worker w's fabric and registers it under the
 // kernel's name.

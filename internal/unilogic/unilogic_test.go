@@ -26,10 +26,8 @@ kernel scale(global float* A, int N) {
 // ManagerProvider.
 type staticManagers []*accel.Manager
 
-func (p staticManagers) NumWorkers() int                  { return len(p) }
-func (p staticManagers) Manager(w int) *accel.Manager     { return p[w] }
-func (p staticManagers) PeekManager(w int) *accel.Manager { return p[w] }
-func (p staticManagers) FreeRegions(w int) int            { return p[w].Fab.FreeRegions() }
+func (p staticManagers) NumWorkers() int              { return len(p) }
+func (p staticManagers) Manager(w int) *accel.Manager { return p[w] }
 
 // newDomain creates a domain over eagerly built managers; mgrs[i] must
 // be Worker i's manager.

@@ -16,19 +16,6 @@ import (
 // accesses that never cross a page boundary and keeping at most window of
 // them in flight.
 
-// PeekRange reads size bytes starting at addr with no timing, across page
-// boundaries; for result verification.
-func (s *Space) PeekRange(addr uint64, size int) []byte {
-	out := make([]byte, 0, size)
-	for size > 0 {
-		n := min(size, s.pageRemaining(addr))
-		out = append(out, s.Peek(addr, n)...)
-		addr += uint64(n)
-		size -= n
-	}
-	return out
-}
-
 // PokeFloat64s writes v from addr on as little-endian float64 words
 // with no timing, a page at a time; addr must be 8-byte aligned.
 func (s *Space) PokeFloat64s(addr uint64, v []float64) {

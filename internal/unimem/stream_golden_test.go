@@ -90,7 +90,7 @@ func goldenOps(t *testing.T) []goldenOp {
 		return b
 	}
 	checkData := func(s *Space, addr uint64, got []byte) {
-		if want := s.PeekRange(addr, len(got)); !bytes.Equal(got, want) {
+		if want := s.peekRange(addr, len(got)); !bytes.Equal(got, want) {
 			t.Errorf("read %d bytes at %#x: data differs from the backing store", len(got), addr)
 		}
 	}
@@ -141,7 +141,7 @@ func goldenLineFor(op goldenOp, rel goldenRelation) string {
 	cfg.CacheCfg = rel.cache
 	s := NewSpace(net, cfg, reg)
 	base := s.Alloc(goldenOwner, 3*cfg.PageBytes)
-	s.Poke(base, bytes.Repeat([]byte{0xa5}, cfg.PageBytes))
+	s.poke(base, bytes.Repeat([]byte{0xa5}, cfg.PageBytes))
 	addr := base + goldenOff
 	node := rel.setup(s, addr)
 	eng.RunUntilIdle()

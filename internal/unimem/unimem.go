@@ -553,20 +553,6 @@ func (s *Space) PeekWord(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(s.Peek(addr, 8))
 }
 
-// Poke writes data directly with no timing; for test setup.
-func (s *Space) Poke(addr uint64, data []byte) {
-	s.checkSpan(addr, len(data))
-	p := s.pageOf(addr)
-	copy(p.data[addr%uint64(s.cfg.PageBytes):], data)
-}
-
-// PokeWord writes a 64-bit word with no timing.
-func (s *Space) PokeWord(addr uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.Poke(addr, b[:])
-}
-
 // AtomicRMW performs an atomic read-modify-write at the page owner: the
 // operation travels to the owner, executes there under the owner's
 // atomic unit (serializing concurrent atomics), and the old value

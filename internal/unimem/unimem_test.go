@@ -2,6 +2,7 @@ package unimem
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -219,12 +220,12 @@ func TestNoCoherenceTrafficOnSharing(t *testing.T) {
 func TestPeekPoke(t *testing.T) {
 	_, s, _ := newSpace(t, 2)
 	addr := s.Alloc(0, 128)
-	s.PokeWord(addr+16, 99)
+	s.PokeFloat64s(addr+16, []float64{math.Float64frombits(99)})
 	if s.PeekWord(addr+16) != 99 {
 		t.Error("peek/poke roundtrip failed")
 	}
 	data := []byte{1, 2, 3, 4}
-	s.Poke(addr, data)
+	s.poke(addr, data)
 	if !bytes.Equal(s.Peek(addr, 4), data) {
 		t.Error("bulk peek/poke failed")
 	}
@@ -252,7 +253,7 @@ func TestAtomicRMW(t *testing.T) {
 func TestAtomicReturnsOld(t *testing.T) {
 	eng, s, _ := newSpace(t, 2)
 	addr := s.Alloc(1, 64)
-	s.PokeWord(addr, 5)
+	s.PokeFloat64s(addr, []float64{math.Float64frombits(5)})
 	var old uint64
 	s.AtomicRMW(0, addr, func(v uint64) uint64 { return v * 2 }, func(o uint64) { old = o })
 	eng.RunUntilIdle()
@@ -264,7 +265,7 @@ func TestAtomicReturnsOld(t *testing.T) {
 func TestMigratePage(t *testing.T) {
 	eng, s, _ := newSpace(t, 4)
 	addr := s.Alloc(0, 64)
-	s.PokeWord(addr, 123)
+	s.PokeFloat64s(addr, []float64{math.Float64frombits(123)})
 	done := false
 	s.MigratePage(addr, 2, func() { done = true })
 	eng.RunUntilIdle()

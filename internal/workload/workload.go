@@ -60,26 +60,6 @@ func (w Workload) Kernel() *hls.Kernel {
 	return k.(*hls.Kernel)
 }
 
-// RunSW executes the workload in software for size n and verifies the
-// result against the golden model, returning the dynamic op stats.
-func (w Workload) RunSW(n int, rng *sim.RNG) (hls.RunStats, error) {
-	args, _ := w.Make(n, rng)
-	st, err := hls.Run(w.Kernel(), args)
-	if err != nil {
-		return st, err
-	}
-	if w.Golden != nil {
-		idx, want := w.Golden(args, n)
-		got := args[idx].Buf
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-6*math.Max(1, math.Abs(want[i])) {
-				return st, fmt.Errorf("workload %s: output[%d] = %v, want %v", w.Name, i, got[i], want[i])
-			}
-		}
-	}
-	return st, nil
-}
-
 // VecAdd: C = A + B.
 var VecAdd = Workload{
 	Name: "vecadd",

@@ -1,8 +1,7 @@
 package ecoscale_test
 
-// Soak tests: larger machines running a mixed workload with the
-// reconfiguration daemon, work stealing and model-driven dispatch all
-// active at once, checking the cross-module conservation invariants
+// Soak tests: larger machines running a mixed workload with work
+// stealing and model-driven dispatch both active, checking the cross-module conservation invariants
 // (no task lost or duplicated, energy monotone, per-kernel results
 // still correct). The configurations run as points of a
 // runner.Scenario, so concurrent full machines double as the standing
@@ -33,8 +32,8 @@ func soakRun(balance rts.BalanceKind) (sim.Time, uint64, error) {
 	cfg.CompressedBitstreams = true
 	m := ecoscale.New(cfg)
 
-	// Deploy three kernels on scattered workers; register the rest with
-	// the daemon's library so it can deploy them if they get hot.
+	// Deploy three kernels on scattered workers; montecarlo has no
+	// hardware instance, so its tasks always run in software.
 	kernels := []string{"vecadd", "reduce", "cartsplit"}
 	dirs := ecoscale.Directives{Unroll: 8, MemPorts: 8, Share: 1, Pipeline: true}
 	for i, name := range kernels {
@@ -46,14 +45,6 @@ func soakRun(balance rts.BalanceKind) (sim.Time, uint64, error) {
 			return 0, 0, err
 		}
 	}
-	mc, _ := ecoscale.KernelByName("montecarlo")
-	mcImpl, err := hls.Synthesize(mc.Kernel(), dirs)
-	if err != nil {
-		return 0, 0, err
-	}
-	m.Daemon.Register(mcImpl)
-	m.Daemon.Start()
-
 	m.SetPolicy(rts.PolicyModel{})
 
 	rng := sim.NewRNG(7)
@@ -87,7 +78,6 @@ func soakRun(balance rts.BalanceKind) (sim.Time, uint64, error) {
 			}
 		})
 	}
-	m.Daemon.Stop()
 	end := m.Run()
 
 	if completed != total {
